@@ -1,12 +1,14 @@
 """Performance benchmark: the reference sweep and its trajectory.
 
-``repro perf`` times one fixed, deterministic sweep grid three ways —
-serial without the trace cache (every cell regenerates its trace, the
-pre-optimization behaviour), serial with the shared cache, and parallel
-over the process pool — and writes the measurements to
-``BENCH_sweep.json``. Committing that file after perf-relevant PRs
-gives the repository a wall-clock trajectory the same way the figure
-harnesses give it a numbers trajectory.
+``repro perf`` times one fixed, deterministic sweep grid several ways —
+``direct`` (one :func:`~repro.sim.engine.simulate` per cell, the
+reference oracle, with and without the trace cache), ``sweep`` (the
+cell executor: compile each stream group once, replay it into every
+protocol), the result store cold and warm, and the executor over a
+process pool — and writes the measurements to ``BENCH_sweep.json``.
+Committing that file after perf-relevant PRs gives the repository a
+wall-clock trajectory the same way the figure harnesses give it a
+numbers trajectory.
 
 The grid is real work (three PARSEC profiles spanning cache-friendly to
 pointer-chasing, times the full Figure-4 protocol lineup), so the
@@ -29,20 +31,18 @@ import platform
 import sys
 import time
 from datetime import datetime, timezone
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.config import SystemConfig, default_config
+from repro.sim.engine import simulate
+from repro.sim.machine import build_machine
 from repro.sim.parallel import (
     ParallelSweepRunner,
     SweepCell,
     _pool_entry,
     default_workers,
-    precompile_plans,
-    precompile_streams,
-    run_cell,
     validate_cells,
 )
 from repro.sim.results import SimulationResult
@@ -62,9 +62,8 @@ from repro.util.atomicio import (
 )
 from repro.util.rng import Seed
 from repro.workloads.registry import (
-    boundary_stream_cache_clear,
+    compiled_cache_clear,
     materialize_trace,
-    metadata_plan_cache_clear,
     profile_spec,
     trace_cache_clear,
 )
@@ -84,7 +83,7 @@ REFERENCE_SEED = 2024
 #: Interleaved rounds per leg; the reported time is the per-leg best.
 REFERENCE_ROUNDS = 3
 
-#: Acceptance budget for telemetry: the telemetry-enabled serial leg
+#: Acceptance budget for telemetry: the telemetry-enabled sweep leg
 #: must stay within this fraction of the telemetry-disabled one.
 TELEMETRY_OVERHEAD_BUDGET = 0.05
 
@@ -107,84 +106,74 @@ def reference_cells(
     ]
 
 
-def _time_serial_uncached(
+def direct_cell(cell: SweepCell, config: SystemConfig) -> SimulationResult:
+    """One cell through the :func:`~repro.sim.engine.simulate` oracle:
+    a full machine walks the whole trace, nothing compiled or shared.
+    The sweep executor must match it bit for bit."""
+    cell_config = cell.config if cell.config is not None else config
+    machine = build_machine(
+        cell_config,
+        cell.protocol,
+        functional=cell.functional,
+        seed=cell.seed,
+        scatter_span_chunks=cell.scatter_span_chunks,
+        integrity_mode=cell.integrity_mode,
+    )
+    return simulate(
+        machine,
+        materialize_trace(cell.trace),
+        seed=cell.seed,
+        churn_interval=cell.churn_interval,
+    )
+
+
+def _time_direct_uncached(
     cells: Sequence[SweepCell], config: SystemConfig
 ) -> float:
-    """Serial run that regenerates the trace for every cell — the
-    pre-trace-cache behaviour, kept measurable so BENCH_sweep.json
-    records what the cache is worth."""
+    """Direct run that regenerates the trace for every cell — kept
+    measurable so BENCH_sweep.json records what the trace cache is
+    worth."""
     start = time.perf_counter()
     for cell in cells:
         trace_cache_clear()
-        run_cell(cell, config)
+        direct_cell(cell, config)
     elapsed = time.perf_counter() - start
     trace_cache_clear()
     return elapsed
 
 
-def _time_serial(cells: Sequence[SweepCell], config: SystemConfig) -> float:
+def _time_direct(cells: Sequence[SweepCell], config: SystemConfig) -> float:
     trace_cache_clear()
     start = time.perf_counter()
     for cell in cells:
-        run_cell(cell, config)
-    elapsed = time.perf_counter() - start
-    return elapsed
+        direct_cell(cell, config)
+    return time.perf_counter() - start
 
 
-def _time_serial_replay(
-    cells: Sequence[SweepCell], config: SystemConfig
-) -> float:
-    """Serial run through the compile-then-replay path: the data-side
-    hierarchy is walked once per (trace, OS variant) and the compiled
-    boundary stream is replayed into every protocol. The stream cache
-    is cleared first so the leg pays its own compile cost — the number
-    is honest about what a cold grid costs, not just the replays.
-
-    ``plan=False`` pins the leg to the *unplanned* replay loop so the
-    trajectory stays comparable with pre-plan BENCH_sweep.json entries
-    and the planned leg below has an honest denominator."""
-    replay_cells = [replace(cell, replay=True, plan=False) for cell in cells]
+def _clear_caches() -> None:
     trace_cache_clear()
-    boundary_stream_cache_clear()
-    start = time.perf_counter()
-    precompile_streams(replay_cells, config)
-    for cell in replay_cells:
-        run_cell(cell, config)
-    elapsed = time.perf_counter() - start
-    boundary_stream_cache_clear()
-    return elapsed
+    compiled_cache_clear()
 
 
-def _time_serial_plan(
-    cells: Sequence[SweepCell], config: SystemConfig
-) -> float:
-    """The replay leg with metadata-plan compilation on top: boundary
-    streams *and* per-event metadata plans are compiled cold inside the
-    timed region (stream and plan caches cleared first), then every
-    cell replays through :func:`repro.sim.engine.simulate_from_plan`.
-    The delta against ``serial_replay`` prices exactly what the plan
-    compiler buys — pre-resolved metadata addresses, interned cache
-    keys, premixed set indices — net of its own compile cost."""
-    plan_cells = [replace(cell, replay=True, plan=True) for cell in cells]
-    trace_cache_clear()
-    boundary_stream_cache_clear()
-    metadata_plan_cache_clear()
+def _time_sweep(cells: Sequence[SweepCell], config: SystemConfig) -> float:
+    """The cell executor in-process, caches cold: each stream group's
+    boundary stream and metadata plan are compiled inside the timed
+    region, then replayed into every protocol of the group. The ratio
+    against ``direct`` is what the compile-once pipeline buys, net of
+    its own compile cost."""
+    _clear_caches()
     start = time.perf_counter()
-    precompile_streams(plan_cells, config)
-    precompile_plans(plan_cells, config)
-    for cell in plan_cells:
-        run_cell(cell, config)
+    ParallelSweepRunner(workers=1).run(cells, config)
     elapsed = time.perf_counter() - start
-    boundary_stream_cache_clear()
-    metadata_plan_cache_clear()
+    compiled_cache_clear()
     return elapsed
 
 
 def _time_store_cold(
     cells: Sequence[SweepCell], config: SystemConfig, holder: Dict[str, object]
 ) -> float:
-    """Serial run through a *fresh* result store: every cell misses,
-    computes, and is written back. The delta against ``serial`` prices
+    """Sweep run through a *fresh* result store: every cell misses,
+    computes, and is written back. The delta against ``sweep`` prices
     the store's write path; the populated store is left in ``holder``
     for the warm leg of the same round, so warm always replays exactly
     what cold just computed."""
@@ -198,7 +187,7 @@ def _time_store_cold(
         shutil.rmtree(previous, ignore_errors=True)
     holder["dir"] = tempfile.mkdtemp(prefix="repro-store-bench-")
     store = ResultStore(holder["dir"])
-    trace_cache_clear()
+    _clear_caches()
     start = time.perf_counter()
     ParallelSweepRunner(workers=1).run(cells, config, store=store)
     elapsed = time.perf_counter() - start
@@ -227,15 +216,16 @@ def _time_parallel(
     cells: Sequence[SweepCell], config: SystemConfig, workers: int
 ) -> float:
     runner = ParallelSweepRunner(workers=workers)
+    _clear_caches()
     start = time.perf_counter()
     runner.run(cells, config)
     return time.perf_counter() - start
 
 
-def _time_serial_telemetry(
+def _time_sweep_telemetry(
     cells: Sequence[SweepCell], config: SystemConfig
 ) -> float:
-    """The ``serial`` leg re-run with telemetry collection enabled.
+    """The ``sweep`` leg re-run with telemetry collection enabled.
 
     The registry and span ring are reset at leg start, so after the
     final round the process-global registry holds exactly one grid's
@@ -245,7 +235,7 @@ def _time_serial_telemetry(
     telemetry.set_enabled(True)
     telemetry.reset()
     try:
-        return _time_serial(cells, config)
+        return _time_sweep(cells, config)
     finally:
         telemetry.set_enabled(was_enabled)
 
@@ -258,8 +248,6 @@ def run_reference_bench(
     seed: Seed = REFERENCE_SEED,
     output: Optional[Path] = Path("BENCH_sweep.json"),
     include_uncached: bool = True,
-    include_replay: bool = True,
-    include_plan: bool = True,
     include_telemetry: bool = True,
     include_store: bool = True,
     rounds: int = REFERENCE_ROUNDS,
@@ -270,9 +258,7 @@ def run_reference_bench(
 
     Returns the report dict. ``workers=None`` auto-sizes to the visible
     core count. ``include_uncached=False`` skips the slowest leg (CI
-    smoke runs on tiny grids don't need it); ``include_replay=False``
-    skips the boundary-replay leg (the ``--no-replay`` escape hatch);
-    ``include_plan=False`` skips the metadata-plan leg (``--no-plan``).
+    smoke runs on tiny grids don't need it).
     ``history`` names a JSONL trend log: each run appends one entry
     (headline timings + speedups) via the durable-append helper, and
     the report gains a ``history`` block holding the previous entry so
@@ -282,9 +268,9 @@ def run_reference_bench(
     raw samples preserved in ``samples_seconds``.
 
     Every leg runs with telemetry collection *disabled* so the
-    trajectory stays comparable across PRs; the ``serial_telemetry``
+    trajectory stays comparable across PRs; the ``sweep_telemetry``
     leg re-enables it to price the subsystem (the overhead guard:
-    within :data:`TELEMETRY_OVERHEAD_BUDGET` of the plain serial leg).
+    within :data:`TELEMETRY_OVERHEAD_BUDGET` of the plain sweep leg).
     ``metrics_out`` exports that leg's final registry snapshot as a
     ``repro.metrics/v1`` artifact.
 
@@ -309,23 +295,13 @@ def run_reference_bench(
     legs = []
     if include_uncached:
         legs.append(
-            ("serial_uncached", lambda: _time_serial_uncached(cells, config))
+            ("direct_uncached", lambda: _time_direct_uncached(cells, config))
         )
-    legs.append(("serial", lambda: _time_serial(cells, config)))
+    legs.append(("direct", lambda: _time_direct(cells, config)))
+    legs.append(("sweep", lambda: _time_sweep(cells, config)))
     if include_telemetry:
         legs.append(
-            (
-                "serial_telemetry",
-                lambda: _time_serial_telemetry(cells, config),
-            )
-        )
-    if include_replay:
-        legs.append(
-            ("serial_replay", lambda: _time_serial_replay(cells, config))
-        )
-    if include_plan:
-        legs.append(
-            ("serial_plan", lambda: _time_serial_plan(cells, config))
+            ("sweep_telemetry", lambda: _time_sweep_telemetry(cells, config))
         )
     # The store legs use a throwaway temp directory per round, never a
     # user-facing store: cold must genuinely compute every cell, and
@@ -350,7 +326,7 @@ def run_reference_bench(
         )
     samples: Dict[str, List[float]] = {name: [] for name, _ in legs}
     # The trajectory legs measure the simulator, not the observability
-    # layer: collection is off for every leg except serial_telemetry,
+    # layer: collection is off for every leg except sweep_telemetry,
     # which re-enables it to price exactly that difference.
     telemetry_was_enabled = telemetry.enabled()
     telemetry.set_enabled(False)
@@ -365,19 +341,27 @@ def run_reference_bench(
 
             shutil.rmtree(store_holder["dir"], ignore_errors=True)
 
-    serial_uncached = (
-        min(samples["serial_uncached"]) if include_uncached else None
-    )
-    serial_seconds = min(samples["serial"])
-    serial_telemetry = (
-        min(samples["serial_telemetry"]) if include_telemetry else None
-    )
-    serial_replay = min(samples["serial_replay"]) if include_replay else None
-    serial_plan = min(samples["serial_plan"]) if include_plan else None
-    store_cold = min(samples["store_cold"]) if include_store else None
-    warm_sweep = min(samples["warm_sweep"]) if include_store else None
-    parallel_seconds = min(samples["parallel"]) if run_parallel else None
+    def best(leg: str) -> Optional[float]:
+        values = samples.get(leg)
+        return min(values) if values else None
 
+    def ratio(numerator: Optional[float], denominator: Optional[float]):
+        if numerator is None or denominator is None or denominator <= 0:
+            return None
+        return numerator / denominator
+
+    timings = {
+        name: best(name)
+        for name in (
+            "direct_uncached",
+            "direct",
+            "sweep",
+            "sweep_telemetry",
+            "store_cold",
+            "warm_sweep",
+            "parallel",
+        )
+    }
     leg_status = {name: "measured" for name, _ in legs}
     if not run_parallel:
         leg_status["parallel"] = "skipped_single_cpu"
@@ -401,64 +385,25 @@ def run_reference_bench(
             "rounds": rounds,
         },
         "legs": leg_status,
-        "timings_seconds": {
-            "serial_uncached": serial_uncached,
-            "serial": serial_seconds,
-            "serial_telemetry": serial_telemetry,
-            "serial_replay": serial_replay,
-            "serial_plan": serial_plan,
-            "store_cold": store_cold,
-            "warm_sweep": warm_sweep,
-            "parallel": parallel_seconds,
-        },
+        "timings_seconds": timings,
         "samples_seconds": {
             name: [round(value, 4) for value in values]
             for name, values in samples.items()
         },
         "speedups": {
-            "trace_cache": (
-                serial_uncached / serial_seconds
-                if serial_uncached is not None and serial_seconds > 0
-                else None
+            "trace_cache": ratio(
+                timings["direct_uncached"], timings["direct"]
             ),
-            "replay_vs_serial": (
-                serial_seconds / serial_replay
-                if serial_replay is not None and serial_replay > 0
-                else None
+            "sweep_vs_direct": ratio(timings["direct"], timings["sweep"]),
+            "warm_vs_cold": ratio(
+                timings["store_cold"], timings["warm_sweep"]
             ),
-            "plan_vs_serial": (
-                serial_seconds / serial_plan
-                if serial_plan is not None and serial_plan > 0
-                else None
-            ),
-            "plan_vs_replay": (
-                serial_replay / serial_plan
-                if serial_replay is not None
-                and serial_plan is not None
-                and serial_plan > 0
-                else None
-            ),
-            "warm_vs_cold": (
-                store_cold / warm_sweep
-                if store_cold is not None
-                and warm_sweep is not None
-                and warm_sweep > 0
-                else None
-            ),
-            "parallel_vs_serial": (
-                serial_seconds / parallel_seconds
-                if parallel_seconds is not None and parallel_seconds > 0
-                else None
-            ),
+            "parallel_vs_sweep": ratio(timings["sweep"], timings["parallel"]),
         },
         "throughput": {
-            "serial_cells_per_second": (
-                len(cells) / serial_seconds if serial_seconds > 0 else None
-            ),
-            "parallel_cells_per_second": (
-                len(cells) / parallel_seconds
-                if parallel_seconds is not None and parallel_seconds > 0
-                else None
+            "sweep_cells_per_second": ratio(len(cells), timings["sweep"]),
+            "parallel_cells_per_second": ratio(
+                len(cells), timings["parallel"]
             ),
         },
     }
@@ -468,11 +413,7 @@ def run_reference_bench(
             "warm_session": store_holder.get("warm_session"),
         }
     if include_telemetry:
-        overhead_ratio = (
-            serial_telemetry / serial_seconds
-            if serial_telemetry is not None and serial_seconds > 0
-            else None
-        )
+        overhead_ratio = ratio(timings["sweep_telemetry"], timings["sweep"])
         report["telemetry"] = {
             "overhead_ratio": overhead_ratio,
             "budget_ratio": 1.0 + TELEMETRY_OVERHEAD_BUDGET,
@@ -493,7 +434,7 @@ def run_reference_bench(
             Path(metrics_out),
             telemetry.get_registry(),
             run={
-                "kind": "reference-bench-serial",
+                "kind": "reference-bench-sweep",
                 "grid": report["grid"],
                 "environment": report["environment"],
             },
@@ -524,8 +465,6 @@ def run_resilient_sweep(
     accesses: int = REFERENCE_ACCESSES,
     seed: Seed = REFERENCE_SEED,
     policy: Optional[SupervisionPolicy] = None,
-    replay: bool = True,
-    plan: bool = True,
     store=None,
 ) -> Dict[str, object]:
     """Run the reference grid under supervision, journaled in ``run_dir``.
@@ -538,14 +477,9 @@ def run_resilient_sweep(
     ``resume=True`` skips the journaled cells and produces a final
     artifact bit-identical to an uninterrupted run.
 
-    With ``replay=True`` (the default) cells run through the compiled
-    boundary-stream path — the data side is simulated once per
-    (benchmark, OS variant) in the supervisor parent and replayed into
-    every protocol cell; results are bit-identical to the direct path,
-    so journals from either mode resume interchangeably (cell keys do
-    not encode the execution strategy). ``replay=False`` is the
-    ``--no-replay`` escape hatch; ``plan=False`` keeps replay but
-    skips metadata-plan compilation (``--no-plan``).
+    Cells run through :func:`~repro.sim.parallel.run_cell` in grid
+    order, so each (benchmark, OS variant) data side is compiled once
+    per process and replayed into every protocol cell that follows it.
 
     With a :class:`~repro.store.ResultStore` as ``store``, the journal
     and the store *compose*: cells already in the store are recorded
@@ -559,15 +493,7 @@ def run_resilient_sweep(
 
     config = default_config()
     cells = reference_cells(benchmarks, protocols, accesses, seed)
-    if replay:
-        cells = [replace(cell, replay=True, plan=plan) for cell in cells]
     validate_cells(cells)
-    if replay:
-        # Compile each distinct data side (and metadata plan) once up
-        # front so fork-started supervised workers inherit warm caches.
-        precompile_streams(cells, config)
-        if plan:
-            precompile_plans(cells, config)
     keys = [sweep_cell_key(i, cell) for i, cell in enumerate(cells)]
     parameters = {
         "benchmarks": list(benchmarks),
@@ -739,7 +665,7 @@ def format_report(report: Dict[str, object]) -> str:
         )
 
     def leg_line(label: str, key: str) -> str:
-        line = f"{label}: {timings[key]:8.2f} s"
+        line = f"{label:<23s}: {timings[key]:8.2f} s"
         raw = samples.get(key)
         if raw and len(raw) > 1:
             line += "  (samples: " + ", ".join(
@@ -747,48 +673,30 @@ def format_report(report: Dict[str, object]) -> str:
             ) + ")"
         return line
 
-    if timings["serial_uncached"] is not None:
-        lines.append(leg_line("serial, no trace cache ", "serial_uncached"))
-    lines.append(leg_line("serial, trace cache    ", "serial"))
-    if timings.get("serial_telemetry") is not None:
-        lines.append(leg_line("serial, telemetry on   ", "serial_telemetry"))
-    if timings.get("serial_replay") is not None:
-        lines.append(leg_line("serial, boundary replay", "serial_replay"))
-    if timings.get("serial_plan") is not None:
-        lines.append(leg_line("serial, metadata plan  ", "serial_plan"))
-    if timings.get("store_cold") is not None:
-        lines.append(leg_line("store, cold (compute)  ", "store_cold"))
-    if timings.get("warm_sweep") is not None:
-        lines.append(leg_line("store, warm (replay)   ", "warm_sweep"))
-    if timings.get("parallel") is not None:
-        lines.append(leg_line("parallel               ", "parallel"))
-    elif leg_status.get("parallel") == "skipped_single_cpu":
+    for key, label in (
+        ("direct_uncached", "direct, no trace cache"),
+        ("direct", "direct (oracle)"),
+        ("sweep", "sweep, cold caches"),
+        ("sweep_telemetry", "sweep, telemetry on"),
+        ("store_cold", "store, cold (compute)"),
+        ("warm_sweep", "store, warm (replay)"),
+        ("parallel", "parallel"),
+    ):
+        if timings.get(key) is not None:
+            lines.append(leg_line(label, key))
+    if leg_status.get("parallel") == "skipped_single_cpu":
         lines.append(
             "parallel               :  skipped (1 visible cpu — a pool "
             "would only measure fork overhead)"
         )
-    if speedups["trace_cache"] is not None:
-        lines.append(f"trace-cache speedup    : {speedups['trace_cache']:8.2f}x")
-    if speedups.get("replay_vs_serial") is not None:
-        lines.append(
-            f"replay speedup         : {speedups['replay_vs_serial']:8.2f}x"
-        )
-    if speedups.get("plan_vs_serial") is not None:
-        lines.append(
-            f"plan speedup           : {speedups['plan_vs_serial']:8.2f}x"
-        )
-    if speedups.get("plan_vs_replay") is not None:
-        lines.append(
-            f"plan vs replay         : {speedups['plan_vs_replay']:8.2f}x"
-        )
-    if speedups.get("warm_vs_cold") is not None:
-        lines.append(
-            f"warm-store speedup     : {speedups['warm_vs_cold']:8.2f}x"
-        )
-    if speedups["parallel_vs_serial"] is not None:
-        lines.append(
-            f"parallel speedup       : {speedups['parallel_vs_serial']:8.2f}x"
-        )
+    for key, label in (
+        ("trace_cache", "trace-cache speedup"),
+        ("sweep_vs_direct", "sweep vs direct"),
+        ("warm_vs_cold", "warm-store speedup"),
+        ("parallel_vs_sweep", "parallel vs sweep"),
+    ):
+        if speedups.get(key) is not None:
+            lines.append(f"{label:<23s}: {speedups[key]:8.2f}x")
     tele = report.get("telemetry") or {}
     if tele.get("overhead_ratio") is not None:
         verdict = "within" if tele.get("within_budget") else "OVER"

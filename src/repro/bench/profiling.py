@@ -4,28 +4,27 @@ The perf work in this repository keeps asking the same question — is a
 run spending its time generating the trace, walking the cache model,
 inside the MEE's metadata walk, or hashing tree nodes? This module
 answers it reproducibly: :func:`profile_run` executes one (benchmark,
-protocol) cell and attributes wall-clock to the pipeline's phases:
+protocol) cell through the sweep-cell pipeline and attributes
+wall-clock to its phases:
 
 * ``trace_gen`` — synthesizing the access trace (cold, cache cleared);
-* ``setup`` — building the machine (protocol, MEE, LLC, OS);
-* ``boundary_compile`` — compiling the data side to a boundary-event
-  stream (``replay=True`` runs only; identically 0.0 on the direct
-  path, kept in the schema so documents stay comparable);
-* ``engine`` — the full simulate() (or, under ``replay=True``, the
-  simulate_from_stream() replay) call, inside which two sub-phases
-  are carved out by instrumenting the live objects:
+* ``setup`` — building the cell's machine (protocol and MEE);
+* ``boundary_compile`` — compiling the data side (paging, LLC, churn)
+  to a boundary-event stream;
+* ``boundary_plan`` — compiling the stream's metadata plan;
+* ``engine`` — the simulate_from_plan() replay, inside which two
+  sub-phases are carved out by instrumenting the live objects:
 
-  * ``mee`` — time inside ``read_block``/``write_block`` (the
-    metadata walk, i.e. everything below the LLC) *excluding* the
-    functional tree;
+  * ``mee`` — time inside the MEE's metadata walk
+    (``replay_plan_events``) *excluding* the functional tree;
   * ``bmt`` — time inside the functional Merkle tree (zero in
     timing-only runs, and near-zero in lazy mode until a
     materialization point);
 
 * ``export`` — serializing the result to its JSON form.
 
-``engine_other`` is the derived remainder (trace iteration, address
-translation, LLC model, OS churn). Sub-phase timers use the same
+``engine_other`` is the derived remainder (slicing the compiled
+columns, assembling the result). Sub-phase timers use the same
 clock as the enclosing phase, so fractions are internally consistent;
 when cProfile capture is enabled the *absolute* times inflate by the
 profiler's per-call overhead, uniformly enough that the attribution
@@ -50,9 +49,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.config import SystemConfig, default_config, validate_integrity_mode
-from repro.sim.engine import simulate, simulate_from_plan, simulate_from_stream
-from repro.sim.machine import build_machine
+from repro.core.protocol import protocol_uses_modified_os
+from repro.sim.engine import simulate_from_plan
+from repro.sim.machine import build_mee_machine
 from repro.sim.parallel import default_workers
+from repro.sim.plan import compile_metadata_plan
+from repro.sim.replay import compile_boundary_stream
 from repro.util.atomicio import atomic_write_json
 from repro.workloads.registry import (
     TraceSpec,
@@ -65,11 +67,11 @@ from repro.workloads.registry import (
 #: Schema tag embedded in every profile artifact; bump on breaking
 #: layout changes so downstream readers can dispatch. v2 added the
 #: ``boundary_compile`` phase and the ``run.replay`` flag; v3 added
-#: ``boundary_plan`` (metadata-plan compilation, ``plan=True`` runs
-#: only) and the ``run.plan`` flag; v4 added
-#: ``environment.cache_limits`` (the effective trace/stream/plan LRU
-#: bounds, settable via ``--cache-limit`` / ``$REPRO_CACHE_LIMIT``).
-PROFILE_SCHEMA = "repro.profile/v4"
+#: ``boundary_plan`` and the ``run.plan`` flag; v4 added
+#: ``environment.cache_limits``; v5 always profiles the sweep-cell
+#: pipeline, drops ``run.replay``/``run.plan``, and records only the
+#: trace-cache limit (the one ``--cache-limit`` sets).
+PROFILE_SCHEMA = "repro.profile/v5"
 
 #: Phases with directly measured timers (``engine_other`` and ``total``
 #: are derived). Order is the pipeline order, used for display.
@@ -84,17 +86,10 @@ MEASURED_PHASES = (
     "export",
 )
 
-#: Methods whose cumulative time defines the ``mee`` sub-phase. The
-#: engine hoists these bound methods once per run, so instance-level
-#: wrappers installed *before* simulate() capture every call.
-#: ``replay_plan_events`` is the plan-driven replay's entire metadata
-#: walk (plan runs never enter read_block/write_block).
-_MEE_METHODS = (
-    "read_block",
-    "write_block",
-    "read_block_data",
-    "replay_plan_events",
-)
+#: Method whose cumulative time defines the ``mee`` sub-phase: the
+#: plan-driven replay's entire metadata walk. The instance-level
+#: wrapper is installed *before* the replay, so it captures the call.
+_MEE_METHODS = ("replay_plan_events",)
 
 #: Functional-tree methods charged to the ``bmt`` sub-phase.
 _BMT_METHODS = (
@@ -199,24 +194,16 @@ def profile_run(
     config: Optional[SystemConfig] = None,
     capture_cprofile: bool = True,
     top: int = 25,
-    replay: bool = False,
-    plan: bool = False,
 ) -> Dict[str, Any]:
     """Profile one simulation cell; returns the artifact document.
 
-    The run is the same deterministic cell the sweep harness executes
-    (same spec, same seed), so its :class:`SimulationResult` numbers
-    are directly comparable with sweep output — the profile just says
-    where the host CPU time went while producing them.
-
-    With ``replay=True`` the cell runs through the compile-then-replay
-    pipeline: ``boundary_compile`` times a cold
-    :func:`~repro.sim.replay.compile_boundary_stream` and ``engine``
-    times the stream replay into the MEE — so the split shows what a
-    sweep's first protocol pays versus every subsequent one.
-    ``plan=True`` (requires ``replay``) adds ``boundary_plan``: a cold
-    :func:`~repro.sim.plan.compile_metadata_plan` over the stream,
-    with the engine phase then timing the plan-driven replay.
+    The run is the same deterministic cell the sweep executor runs
+    (same spec, same seed, same pipeline), so its
+    :class:`SimulationResult` numbers are directly comparable with
+    sweep output — the profile just says where the host CPU time went
+    while producing them. ``boundary_compile`` and ``boundary_plan``
+    time cold compiles, so the split shows what a stream group's first
+    protocol pays versus every subsequent one (``setup`` + ``engine``).
     """
     validate_integrity_mode(integrity_mode)
     config = config or default_config()
@@ -228,35 +215,22 @@ def profile_run(
         trace = materialize_trace(spec)
 
     with clock.measure("setup"):
-        machine = build_machine(
+        machine = build_mee_machine(
             config,
             protocol,
             functional=functional,
-            seed=seed,
             integrity_mode=integrity_mode,
         )
 
-    if plan and not replay:
-        raise ValueError("plan=True requires replay=True")
-
-    stream = None
-    metadata_plan = None
-    if replay:
-        from repro.core.protocol import protocol_uses_modified_os
-        from repro.sim.replay import compile_boundary_stream
-
-        with clock.measure("boundary_compile"):
-            stream = compile_boundary_stream(
-                trace,
-                config,
-                seed=seed,
-                modified_os=protocol_uses_modified_os(protocol),
-            )
-        if plan:
-            from repro.sim.plan import compile_metadata_plan
-
-            with clock.measure("boundary_plan"):
-                metadata_plan = compile_metadata_plan(stream, config)
+    with clock.measure("boundary_compile"):
+        stream = compile_boundary_stream(
+            trace,
+            config,
+            seed=seed,
+            modified_os=protocol_uses_modified_os(protocol),
+        )
+    with clock.measure("boundary_plan"):
+        plan = compile_metadata_plan(stream, config)
 
     _instrument(machine.mee, _MEE_METHODS, clock, "mee")
     tree = getattr(machine.mee, "tree", None)
@@ -268,12 +242,7 @@ def profile_run(
         profiler.enable()
     try:
         with clock.measure("engine"):
-            if metadata_plan is not None:
-                result = simulate_from_plan(stream, metadata_plan, machine)
-            elif replay:
-                result = simulate_from_stream(stream, machine)
-            else:
-                result = simulate(machine, trace, seed=seed)
+            result = simulate_from_plan(stream, plan, machine)
     finally:
         if profiler is not None:
             profiler.disable()
@@ -318,8 +287,6 @@ def profile_run(
             "functional": functional,
             "integrity_mode": integrity_mode,
             "cprofile": capture_cprofile,
-            "replay": replay,
-            "plan": plan,
         },
         # Mirrors BENCH_sweep.json's environment block so profiles from
         # different machines are comparable. A profile run is always
@@ -329,9 +296,8 @@ def profile_run(
             "platform": platform.platform(),
             "visible_cpus": default_workers(),
             "workers": 1,
-            # Effective LRU bounds (trace/stream/plan) — so a profile
-            # captured under --cache-limit / $REPRO_CACHE_LIMIT says so
-            # (a shrunken cache shifts time into re-materialization).
+            # Effective trace-cache bound — so a profile captured
+            # under --cache-limit / $REPRO_CACHE_LIMIT says so.
             "cache_limits": effective_cache_limits(),
         },
         "phases": phases,
@@ -352,7 +318,7 @@ def write_profile_artifact(document: Dict[str, Any], path) -> Path:
 
 
 def validate_profile_document(document: Any) -> List[str]:
-    """Check a profile artifact against the v4 schema.
+    """Check a profile artifact against the v5 schema.
 
     Returns a list of human-readable problems; an empty list means the
     document is valid. Used by the CI smoke job and the test suite, and
@@ -377,8 +343,6 @@ def validate_profile_document(document: Any) -> List[str]:
             ("seed", int),
             ("functional", bool),
             ("integrity_mode", str),
-            ("replay", bool),
-            ("plan", bool),
         ):
             if not isinstance(run.get(key), kinds):
                 problems.append(f"run.{key} missing or mistyped")
@@ -398,11 +362,10 @@ def validate_profile_document(document: Any) -> List[str]:
                 problems.append(f"environment.{key} missing or mistyped")
         cache_limits = environment.get("cache_limits")
         if isinstance(cache_limits, dict):
-            for cache in ("trace", "stream", "plan"):
-                if not isinstance(cache_limits.get(cache), int):
-                    problems.append(
-                        f"environment.cache_limits.{cache} missing or mistyped"
-                    )
+            if not isinstance(cache_limits.get("trace"), int):
+                problems.append(
+                    "environment.cache_limits.trace missing or mistyped"
+                )
 
     phases = document.get("phases")
     if not isinstance(phases, dict):
@@ -442,8 +405,7 @@ def format_profile(document: Dict[str, Any], top: int = 10) -> str:
     lines = [
         f"profile: {run['suite']}/{run['benchmark']} under {run['protocol']}"
         f"  ({run['accesses']} accesses, seed {run['seed']}, "
-        f"functional={run['functional']}, mode={run['integrity_mode']}, "
-        f"replay={run.get('replay', False)}, plan={run.get('plan', False)})",
+        f"functional={run['functional']}, mode={run['integrity_mode']})",
     ]
     env = document.get("environment")
     if env:

@@ -6,11 +6,11 @@ Commands:
   print the normalized-cycles table (one bar group of Figure 4/8);
 * ``experiment`` — regenerate a whole paper artifact by name
   (``fig3``..``fig8``, ``table2``..``table4``);
-* ``perf`` — time the reference sweep serial vs parallel and write
-  ``BENCH_sweep.json``;
-* ``profile`` — attribute one cell's wall-clock to pipeline phases
-  (trace-gen/engine/MEE/BMT/export) with optional cProfile hotspots,
-  writing ``PROFILE_run.json``;
+* ``perf`` — time the reference sweep (direct oracle vs the sweep
+  executor, store, pool) and write ``BENCH_sweep.json``;
+* ``profile`` — attribute one sweep cell's wall-clock to pipeline
+  phases (trace-gen/compile/plan/engine/MEE/BMT/export) with optional
+  cProfile hotspots, writing ``PROFILE_run.json``;
 * ``faults`` — run a fault-injection campaign (swept crash points,
   recovery + integrity oracle) and write ``FAULTS_campaign.json``;
 * ``area-table`` — print Table 3;
@@ -23,15 +23,16 @@ Commands:
 * ``metrics`` — print a ``repro.metrics/v1`` document (from
   ``--metrics-out``) as snapshot tables or Prometheus text.
 
-``sweep``, ``experiment``, and ``perf`` accept ``--workers N`` to fan
-the sweep grid out over a process pool; results are bit-identical to
-the serial run. ``sweep`` and ``perf`` accept ``--no-replay`` to
-bypass boundary-event compilation and re-walk the data side per
-protocol, and ``--no-plan`` to replay without the compiled metadata
-plan (see docs/PERFORMANCE.md); results are identical either way.
-``perf`` also appends each timing run's headline numbers to a JSONL
-trend log (``--history``, default ``BENCH_history.jsonl``) and prints
-the delta against the previous entry.
+Every sweep runs one way: each cell's data side is compiled to a
+boundary-event stream and metadata plan once per stream group, then
+replayed into the cell's protocol (see docs/PERFORMANCE.md); results
+are bit-identical to ``repro.sim.engine.simulate``, the single-run
+API and reference oracle. ``sweep``, ``experiment``, and ``perf``
+accept ``--workers N`` to fan the sweep grid out over a process pool;
+results are bit-identical to the serial run. ``perf`` also appends
+each timing run's headline numbers to a JSONL trend log
+(``--history``, default ``BENCH_history.jsonl``) and prints the delta
+against the previous entry.
 
 ``perf`` and ``faults`` accept ``--run-dir DIR`` to journal every
 completed cell (crash-safe, resumable with ``--resume DIR``) and
@@ -50,8 +51,8 @@ docs/OBSERVABILITY.md.
 inputs through the content-addressed result store, and ``--no-store``
 to force it off; fault campaigns never consult the store (they mutate
 machine state mid-run). ``sweep``, ``perf``, and ``profile`` accept
-``--cache-limit N`` (or ``$REPRO_CACHE_LIMIT``) to cap the
-trace/stream/plan materialization caches — see docs/STORE.md.
+``--cache-limit N`` (or ``$REPRO_CACHE_LIMIT``) to cap the trace
+cache — see docs/STORE.md.
 
 Everything the CLI does is a thin wrapper over the public API, so the
 printed numbers are identical to what the pytest benchmark harness
@@ -111,8 +112,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         scatter_span_chunks=args.scatter_chunks,
         workers=args.workers,
-        replay=not args.no_replay,
-        plan=not args.no_plan,
         store=store,
     )
     rows = [
@@ -344,8 +343,8 @@ def _add_cache_limit_arg(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="cap the trace/stream/plan materialization caches at N "
-        "entries each (default: $REPRO_CACHE_LIMIT if set, else 64/32/32)",
+        help="cap the trace cache at N entries "
+        "(default: $REPRO_CACHE_LIMIT if set, else 64)",
     )
 
 
@@ -424,7 +423,7 @@ def _report_failures(failures) -> None:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    """Time the reference sweep (serial and parallel) and record it.
+    """Time the reference sweep (direct, sweep, store, pool) and record it.
 
     With ``--run-dir``/``--resume`` the command switches to the
     resilient mode: the same grid runs under supervision, each cell's
@@ -453,8 +452,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
             benchmarks=tuple(args.benchmarks),
             accesses=args.accesses,
             policy=_policy_from_args(args),
-            replay=not args.no_replay,
-            plan=not args.no_plan,
             store=store,
         )
         if store is not None:
@@ -482,8 +479,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         accesses=args.accesses,
         output=Path(args.output) if args.output else None,
         include_uncached=not args.skip_uncached,
-        include_replay=not args.no_replay,
-        include_plan=not args.no_plan,
         include_telemetry=not args.no_telemetry,
         include_store=not args.no_store,
         rounds=args.rounds,
@@ -503,7 +498,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulation cell and write the JSON artifact."""
+    """Profile one sweep cell and write the JSON artifact."""
     from repro.bench.profiling import (
         format_profile,
         profile_run,
@@ -531,8 +526,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         integrity_mode=args.integrity_mode,
         capture_cprofile=not args.no_cprofile,
         top=args.top,
-        replay=args.replay or args.plan,
-        plan=args.plan,
     )
     print(format_profile(document, top=args.top))
     if args.output:
@@ -799,12 +792,29 @@ def cmd_history(args: argparse.Namespace) -> int:
         f"latest {latest.get('recorded_at')}"
         + (f", previous {previous.get('recorded_at')}" if previous else "")
     )
+    def columns(unit: str) -> List[str]:
+        # Explicit: a leg new since the previous run has no delta, and
+        # must not hide the delta columns of the legs that do.
+        return [
+            "leg", f"latest_{unit}", f"previous_{unit}", "delta_pct",
+            "speedup_vs_prev",
+        ]
+
     timing_rows = block("timings_seconds", "s", better_when_lower=True)
     if timing_rows:
-        print(format_table(timing_rows, title="leg timings", precision=3))
+        print(
+            format_table(
+                timing_rows, columns("s"), title="leg timings", precision=3
+            )
+        )
     speedup_rows = block("speedups", "x", better_when_lower=False)
     if speedup_rows:
-        print(format_table(speedup_rows, title="derived speedups", precision=3))
+        print(
+            format_table(
+                speedup_rows, columns("x"), title="derived speedups",
+                precision=3,
+            )
+        )
     return EXIT_OK
 
 
@@ -864,18 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="processes for the sweep grid (1 = in-process serial)",
     )
-    sweep.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="re-walk the data side per protocol instead of compiling "
-        "one boundary stream (results are identical either way)",
-    )
-    sweep.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="replay without the compiled metadata plan (results are "
-        "identical either way; only the wall-clock changes)",
-    )
     _add_store_args(sweep)
     _add_cache_limit_arg(sweep)
     _add_telemetry_args(sweep)
@@ -933,18 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="interleaved rounds per leg; reported time is the best",
     )
     perf.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="skip the boundary-replay leg (timing mode) or run the "
-        "resilient sweep through the direct per-protocol path",
-    )
-    perf.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="skip the metadata-plan leg (timing mode) or run the "
-        "resilient sweep's replays without compiled plans",
-    )
-    perf.add_argument(
         "--history",
         default="BENCH_history.jsonl",
         help="JSONL trend log appended after each timing run "
@@ -958,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = commands.add_parser(
         "profile",
-        help="attribute one cell's wall-clock to phases, with hotspots",
+        help="attribute one sweep cell's wall-clock to phases, with hotspots",
     )
     prof.add_argument("benchmark", help="PARSEC or SPEC profile name")
     prof.add_argument(
@@ -981,18 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cprofile",
         action="store_true",
         help="skip cProfile capture (pure phase timers, less overhead)",
-    )
-    prof.add_argument(
-        "--replay",
-        action="store_true",
-        help="profile the compile-then-replay pipeline (splits out the "
-        "boundary_compile phase) instead of the direct path",
-    )
-    prof.add_argument(
-        "--plan",
-        action="store_true",
-        help="profile the plan-driven replay (implies --replay; splits "
-        "out the boundary_plan phase)",
     )
     prof.add_argument(
         "--top", type=int, default=15, help="hotspot rows to keep/print"

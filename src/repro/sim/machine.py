@@ -31,12 +31,17 @@ from repro.util.rng import Seed, make_rng
 
 @dataclass
 class Machine:
-    """A complete simulated secure-SCM node."""
+    """A simulated secure-SCM node.
+
+    Sweep cells replay a compiled boundary stream and never touch the
+    data side, so :func:`build_mee_machine` leaves ``llc`` and ``mm``
+    unset; :func:`build_machine` wires the complete node.
+    """
 
     config: SystemConfig
     mee: MemoryEncryptionEngine
-    llc: DataCache
-    mm: MemoryManager
+    llc: Optional[DataCache] = None
+    mm: Optional[MemoryManager] = None
 
     @property
     def protocol(self) -> MetadataPersistencePolicy:
@@ -110,6 +115,25 @@ def build_data_side(
     return llc, mm
 
 
+def build_mee_machine(
+    config: SystemConfig,
+    protocol_name: str,
+    functional: bool = False,
+    integrity_mode: str = "eager",
+) -> Machine:
+    """Build only the memory encryption engine and its protocol.
+
+    The machine a sweep cell replays into: everything in front of the
+    MEE was simulated once, by the boundary-stream compiler, so the
+    LLC, the buddy allocator, and its scatter aging are not built.
+    """
+    protocol = make_protocol(protocol_name, config)
+    mee = MemoryEncryptionEngine(
+        config, protocol, functional=functional, integrity_mode=integrity_mode
+    )
+    return Machine(config=config, mee=mee)
+
+
 def build_machine(
     config: SystemConfig,
     protocol_name: str,
@@ -133,18 +157,18 @@ def build_machine(
     Timing results and functional digests are identical in both modes;
     fault-injection entry points force ``"eager"`` regardless.
     """
-    protocol = make_protocol(protocol_name, config)
-    mee = MemoryEncryptionEngine(
-        config, protocol, functional=functional, integrity_mode=integrity_mode
+    machine = build_mee_machine(
+        config, protocol_name, functional=functional,
+        integrity_mode=integrity_mode,
     )
-    llc, mm = build_data_side(
+    machine.llc, machine.mm = build_data_side(
         config,
         modified_os=protocol_uses_modified_os(protocol_name),
         seed=seed,
         scatter_span_chunks=scatter_span_chunks,
         max_order=max_order,
         reclaim_interval=reclaim_interval,
-        address_space=mee.address_space,
-        geometry=mee.geometry,
+        address_space=machine.mee.address_space,
+        geometry=machine.mee.geometry,
     )
-    return Machine(config=config, mee=mee, llc=llc, mm=mm)
+    return machine

@@ -8,11 +8,16 @@ out over a process pool.
 
 Design rules:
 
+* **One engine path.** Every cell compiles its trace's data side to a
+  boundary stream, compiles that stream's metadata plan, and replays
+  the pair into a fresh MEE (:func:`run_cell`). Cells whose data sides
+  match (same trace, geometry, and OS variant) form a *stream group*
+  that shares one compiled pair; the runner executes group by group,
+  so each pair is compiled once per grid.
 * **Nothing heavyweight crosses the process boundary.** A cell carries
   a :class:`~repro.workloads.registry.TraceSpec` (a recipe), not a
-  trace; workers regenerate the trace locally through the process-wide
-  materialization cache, so a worker that runs several protocols over
-  one workload generates that trace once.
+  trace; each pool task is one stream group, and its worker compiles
+  the group's pair locally.
 * **Determinism.** Cell results depend only on (config, protocol,
   spec, seed); scheduling order cannot leak in. ``run`` returns results
   in cell order, and a parallel run is bit-identical to the serial one.
@@ -28,22 +33,19 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.config import INTEGRITY_MODES, SystemConfig
 from repro.errors import ConfigValidationError
-from repro.sim.engine import simulate, simulate_from_plan, simulate_from_stream
-from repro.sim.machine import build_machine
+from repro.sim.engine import simulate_from_plan
+from repro.sim.machine import build_mee_machine
 from repro.sim.results import SimulationResult
 from repro.util.rng import Seed
 from repro.workloads.registry import (
     TraceSpec,
     boundary_stream_spec,
-    materialize_boundary_stream,
-    materialize_metadata_plan,
-    materialize_trace,
-    metadata_plan_spec,
+    materialize_compiled,
     validate_trace_spec,
 )
 
@@ -68,18 +70,6 @@ class SweepCell:
     #: BMT update discipline for functional cells ("eager"/"lazy");
     #: results are bit-identical either way (see repro.integrity.bmt).
     integrity_mode: str = "eager"
-    #: Drive the MEE from a compiled boundary stream instead of
-    #: re-walking the data-side hierarchy (see repro.sim.replay).
-    #: Bit-identical to the direct path; cells sharing a (trace,
-    #: data-side geometry) then share one compiled stream per process.
-    replay: bool = False
-    #: Replay through a compiled metadata plan (see repro.sim.plan):
-    #: per-event counter/HMAC/path addresses pre-resolved once per
-    #: (trace, geometry) and shared across protocols. Only effective
-    #: when ``replay`` is set; bit-identical either way, so this stays
-    #: on by default and exists to measure (bench) or bypass (--no-plan)
-    #: the fast path.
-    plan: bool = True
 
 
 def validate_cells(cells: Sequence[SweepCell]) -> None:
@@ -118,9 +108,9 @@ def validate_cells(cells: Sequence[SweepCell]) -> None:
 
 
 def stream_spec_for(cell: SweepCell, config: SystemConfig):
-    """The boundary-stream cache key of one replay cell.
+    """The compiled-pair cache key of one cell (its stream group).
 
-    Centralized so every caller (run_cell, the precompile warmers, the
+    Centralized so every caller (run_cell, the runner's grouping, the
     bench legs) derives the identical key from a cell — the modified-OS
     bit comes from the protocol registry, everything else from the cell
     and its effective config.
@@ -138,76 +128,26 @@ def stream_spec_for(cell: SweepCell, config: SystemConfig):
     )
 
 
-def precompile_streams(cells: Sequence[SweepCell], config: SystemConfig) -> int:
-    """Warm the process-wide stream cache for every replay cell.
-
-    Returns the number of distinct streams now cached for the grid.
-    Called in the pool parent before fan-out so fork-started workers
-    inherit compiled streams instead of each compiling their own;
-    spawn-started workers still compile at most once per (trace,
-    geometry) per process through the same cache.
-    """
-    specs = set()
-    for cell in cells:
-        if not cell.replay:
-            continue
-        spec = stream_spec_for(cell, config)
-        specs.add(spec)
-        materialize_boundary_stream(
-            spec, cell.config if cell.config is not None else config
-        )
-    return len(specs)
-
-
-def precompile_plans(cells: Sequence[SweepCell], config: SystemConfig) -> int:
-    """Warm the process-wide metadata-plan cache for every planned cell.
-
-    Same pool-parent discipline as :func:`precompile_streams` (and runs
-    the stream compile through the same caches if it has not happened
-    yet): fork workers inherit fully-warmed plans, runtime records
-    included. Returns the number of distinct plans now cached.
-    """
-    specs = set()
-    for cell in cells:
-        if not (cell.replay and cell.plan):
-            continue
-        spec = metadata_plan_spec(stream_spec_for(cell, config))
-        specs.add(spec)
-        materialize_metadata_plan(
-            spec, cell.config if cell.config is not None else config
-        )
-    return len(specs)
-
-
 def _run_cell_impl(cell: SweepCell, config: SystemConfig) -> SimulationResult:
     cell_config = cell.config if cell.config is not None else config
-    machine = build_machine(
+    stream, plan = materialize_compiled(
+        stream_spec_for(cell, config), cell_config
+    )
+    machine = build_mee_machine(
         cell_config,
         cell.protocol,
         functional=cell.functional,
-        seed=cell.seed,
-        scatter_span_chunks=cell.scatter_span_chunks,
         integrity_mode=cell.integrity_mode,
     )
-    if cell.replay:
-        stream_spec = stream_spec_for(cell, config)
-        stream = materialize_boundary_stream(stream_spec, cell_config)
-        if cell.plan:
-            plan = materialize_metadata_plan(
-                metadata_plan_spec(stream_spec), cell_config
-            )
-            return simulate_from_plan(stream, plan, machine)
-        return simulate_from_stream(stream, machine)
-    trace = materialize_trace(cell.trace)
-    return simulate(
-        machine, trace, seed=cell.seed, churn_interval=cell.churn_interval
-    )
+    return simulate_from_plan(stream, plan, machine)
 
 
 def run_cell(cell: SweepCell, config: SystemConfig) -> SimulationResult:
     """Execute one cell in the current process.
 
-    With telemetry enabled the cell is timed under a span and its
+    Compiles (or fetches from the process-wide cache) the cell's
+    boundary stream and metadata plan, then replays them into a fresh
+    MEE. With telemetry enabled the cell is timed under a span and its
     wall-clock lands in the ``sweep.cell_seconds`` histogram; the
     simulation itself is identical either way.
     """
@@ -223,25 +163,63 @@ def run_cell(cell: SweepCell, config: SystemConfig) -> SimulationResult:
     return result
 
 
+def _stream_groups(
+    cells: Sequence[SweepCell], config: SystemConfig
+) -> List[List[int]]:
+    """Cell indices grouped by compiled-pair key, in order of first
+    appearance (cell order within a group)."""
+    groups: Dict[object, List[int]] = {}
+    for index, cell in enumerate(cells):
+        groups.setdefault(stream_spec_for(cell, config), []).append(index)
+    return list(groups.values())
+
+
+def _split_for_workers(
+    groups: List[List[int]], workers: int
+) -> List[List[int]]:
+    """Halve the largest group until every worker has a task (or every
+    task is one cell): a grid with fewer stream groups than workers
+    trades one extra compile per split for a busy pool."""
+    tasks = list(groups)
+    while tasks and len(tasks) < workers:
+        largest = max(range(len(tasks)), key=lambda i: len(tasks[i]))
+        group = tasks[largest]
+        if len(group) < 2:
+            break
+        half = len(group) // 2
+        tasks[largest : largest + 1] = [group[:half], group[half:]]
+    return tasks
+
+
 def _pool_entry(payload: Tuple[SweepCell, SystemConfig]) -> SimulationResult:
-    """Top-level pool target (must be importable for spawn contexts)."""
+    """Per-cell pool target of the supervised runner (must be
+    importable for spawn contexts)."""
     cell, config = payload
     return run_cell(cell, config)
 
 
-def _pool_entry_telemetry(payload: Tuple[SweepCell, SystemConfig]):
-    """Pool target that ships the cell's metrics delta back with it.
+def _group_entry(
+    payload: Tuple[Sequence[SweepCell], SystemConfig]
+) -> List[SimulationResult]:
+    """Pool target: run one stream group's cells, in order."""
+    cells, config = payload
+    return [run_cell(cell, config) for cell in cells]
 
-    Returns ``(result, (pid, delta_snapshot))``. The parent merges only
+
+def _group_entry_telemetry(
+    payload: Tuple[Sequence[SweepCell], SystemConfig]
+):
+    """Group target that ships the task's metrics delta back with it.
+
+    Returns ``(results, (pid, delta_snapshot))``. The parent merges only
     deltas whose pid differs from its own — in the in-process fallback
-    (or a one-cell grid) the delta already landed in the parent
+    (or a one-task grid) the delta already landed in the parent
     registry, and merging it again would double count.
     """
-    cell, config = payload
     registry = telemetry.get_registry()
     before = registry.snapshot()
-    result = run_cell(cell, config)
-    return result, (os.getpid(), registry.diff(before))
+    results = _group_entry(payload)
+    return results, (os.getpid(), registry.diff(before))
 
 
 def default_workers() -> int:
@@ -282,8 +260,8 @@ class ParallelSweepRunner:
 
         ``func`` must be a picklable top-level callable and every
         payload a picklable pure description of the work (the sweep
-        grid uses ``_pool_entry`` over ``(cell, config)`` pairs; the
-        fault campaign ships its own specs through here). The same
+        grid ships ``(cells, config)`` stream groups to ``_group_entry``;
+        the fault campaign ships its own specs through here). The same
         degradation rules as :meth:`run` apply: one worker or one
         payload runs in-process, and a pool that cannot be created or
         dies mid-flight falls back to in-process execution — safe
@@ -360,25 +338,27 @@ class ParallelSweepRunner:
     def _run_all(
         self, cells: List[SweepCell], config: SystemConfig
     ) -> List[SimulationResult]:
-        """The store-oblivious path: compute every cell (pre-validated)."""
-        if self.workers > 1 and len(cells) > 1:
-            # Compile each distinct data side — and each distinct
-            # metadata plan — once in the parent so fork-started
-            # workers inherit the warm caches (a spawn pool recompiles
-            # per worker — still once per process, amortized over that
-            # worker's protocol cells).
-            precompile_streams(cells, config)
-            precompile_plans(cells, config)
-        payloads = [(cell, config) for cell in cells]
+        """The store-oblivious path: compute every cell (pre-validated),
+        one stream group per task."""
+        tasks = _stream_groups(cells, config)
+        if self.workers > 1:
+            tasks = _split_for_workers(tasks, self.workers)
+        payloads = [([cells[i] for i in task], config) for task in tasks]
         if not telemetry.enabled():
-            return self.map(_pool_entry, payloads)
-        telemetry.gauge("sweep.workers").set(self.workers)
-        tagged = self.map(_pool_entry_telemetry, payloads)
-        registry = telemetry.get_registry()
-        parent_pid = os.getpid()
-        results: List[SimulationResult] = []
-        for result, (pid, delta) in tagged:
-            results.append(result)
-            if pid != parent_pid:
-                registry.merge_snapshot(delta)
-        return results
+            outputs = self.map(_group_entry, payloads)
+        else:
+            telemetry.gauge("sweep.workers").set(self.workers)
+            registry = telemetry.get_registry()
+            parent_pid = os.getpid()
+            outputs = []
+            for group_results, (pid, delta) in self.map(
+                _group_entry_telemetry, payloads
+            ):
+                outputs.append(group_results)
+                if pid != parent_pid:
+                    registry.merge_snapshot(delta)
+        results: List[Optional[SimulationResult]] = [None] * len(cells)
+        for task, group_results in zip(tasks, outputs):
+            for index, result in zip(task, group_results):
+                results[index] = result
+        return results  # type: ignore[return-value]

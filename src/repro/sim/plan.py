@@ -203,8 +203,7 @@ class MetadataPlan:
 
     def warm(self) -> None:
         """Resolve the runtime records now, not on first replay — keeps
-        the cost inside the measured compile phase, and inside the pool
-        parent's precompile so fork workers inherit them."""
+        the cost inside the measured compile phase."""
         self.event_records()
 
     def __repr__(self) -> str:

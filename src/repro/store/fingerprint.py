@@ -8,10 +8,11 @@ useless:
    closure. Miss one and the store serves a stale result for a changed
    knob (silent wrong numbers, the cardinal sin of a cache).
 2. **Stability modulo execution strategy** — inputs that provably
-   *cannot* change the result stay out. The direct, stream-replay, and
-   plan-replay paths are bit-identical by construction (property-tested
-   since PRs 5 and 9), so ``replay``/``plan`` do not participate; a
-   warm sweep hits regardless of which engine path computed the entry.
+   *cannot* change the result stay out. The sweep executor and the
+   direct :func:`~repro.sim.engine.simulate` oracle are bit-identical
+   (property-tested across every protocol and integrity mode), so the
+   execution strategy does not participate; a warm sweep hits
+   regardless of how the entry was computed.
 
 The closure hashed here is therefore: the full effective
 :class:`~repro.config.SystemConfig` (geometry, timing, metadata cache,

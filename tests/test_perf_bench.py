@@ -23,11 +23,10 @@ class TestInterleavedLegs:
     def test_every_leg_sampled_every_round(self, report):
         samples = report["samples_seconds"]
         expected = {
-            "serial_uncached",
-            "serial",
-            "serial_telemetry",
-            "serial_replay",
-            "serial_plan",
+            "direct_uncached",
+            "direct",
+            "sweep",
+            "sweep_telemetry",
             "store_cold",
             "warm_sweep",
         }
@@ -51,16 +50,10 @@ class TestInterleavedLegs:
     def test_speedups_derive_from_best(self, report):
         timings = report["timings_seconds"]
         assert report["speedups"]["trace_cache"] == pytest.approx(
-            timings["serial_uncached"] / timings["serial"]
+            timings["direct_uncached"] / timings["direct"]
         )
-        assert report["speedups"]["replay_vs_serial"] == pytest.approx(
-            timings["serial"] / timings["serial_replay"]
-        )
-        assert report["speedups"]["plan_vs_serial"] == pytest.approx(
-            timings["serial"] / timings["serial_plan"]
-        )
-        assert report["speedups"]["plan_vs_replay"] == pytest.approx(
-            timings["serial_replay"] / timings["serial_plan"]
+        assert report["speedups"]["sweep_vs_direct"] == pytest.approx(
+            timings["direct"] / timings["sweep"]
         )
 
     def test_skip_uncached_drops_leg(self):
@@ -73,40 +66,9 @@ class TestInterleavedLegs:
             include_uncached=False,
             rounds=1,
         )
-        assert report["timings_seconds"]["serial_uncached"] is None
-        assert "serial_uncached" not in report["samples_seconds"]
+        assert report["timings_seconds"]["direct_uncached"] is None
+        assert "direct_uncached" not in report["samples_seconds"]
         assert report["speedups"]["trace_cache"] is None
-
-    def test_skip_replay_drops_leg(self):
-        report = run_reference_bench(
-            workers=1,
-            benchmarks=("blackscholes",),
-            protocols=("leaf",),
-            accesses=300,
-            output=None,
-            include_uncached=False,
-            include_replay=False,
-            rounds=1,
-        )
-        assert report["timings_seconds"]["serial_replay"] is None
-        assert "serial_replay" not in report["samples_seconds"]
-        assert report["speedups"]["replay_vs_serial"] is None
-
-    def test_skip_plan_drops_leg(self):
-        report = run_reference_bench(
-            workers=1,
-            benchmarks=("blackscholes",),
-            protocols=("leaf",),
-            accesses=300,
-            output=None,
-            include_uncached=False,
-            include_plan=False,
-            rounds=1,
-        )
-        assert report["timings_seconds"]["serial_plan"] is None
-        assert "serial_plan" not in report["samples_seconds"]
-        assert report["speedups"]["plan_vs_serial"] is None
-        assert report["speedups"]["plan_vs_replay"] is None
 
     def test_skip_store_drops_legs(self):
         report = run_reference_bench(
@@ -178,8 +140,8 @@ class TestInterleavedLegs:
         second = run_reference_bench(**kwargs)
         previous = second["history"]["previous"]
         assert previous is not None
-        assert previous["timings_seconds"]["serial"] == pytest.approx(
-            first["timings_seconds"]["serial"], abs=1e-4
+        assert previous["timings_seconds"]["sweep"] == pytest.approx(
+            first["timings_seconds"]["sweep"], abs=1e-4
         )
         entries = read_jsonl(log)
         assert len(entries) == 2
@@ -188,7 +150,7 @@ class TestInterleavedLegs:
             assert entry["grid"]["cells"] == 1
         delta = format_history_delta(second, previous)
         assert "vs previous run" in delta
-        assert "serial" in delta
+        assert "sweep" in delta
 
     def test_parallel_leg_honest_on_single_cpu(self, report):
         """A pool on one visible core measures fork overhead, not the
@@ -200,6 +162,6 @@ class TestInterleavedLegs:
         else:
             assert report["legs"]["parallel"] == "skipped_single_cpu"
             assert report["timings_seconds"]["parallel"] is None
-            assert report["speedups"]["parallel_vs_serial"] is None
+            assert report["speedups"]["parallel_vs_sweep"] is None
             assert "parallel" not in report["samples_seconds"]
             assert "skipped" in format_report(report)

@@ -5,10 +5,11 @@ boundary stream will touch — counter line, HMAC line, BMT ancestor
 path, premixed cache-set indices — once per (trace, geometry). Its
 correctness claim is the same as the replay layer's one level up:
 *bit identity* with the direct path. These tests check that claim
-three ways: full-result equality across the protocol lineup, a
-randomized-geometry property test that recomputes every plan column
-from first principles, and cache-contract tests (geometry change
-recompiles; a metadata-cache-only change shares the plan).
+three ways: full-result equality with the ``simulate()`` oracle across
+the protocol lineup, a randomized-geometry property test that
+recomputes every plan column from first principles, and cache-contract
+tests (geometry change recompiles; a metadata-cache-only change shares
+the compiled pair).
 """
 
 import random
@@ -23,14 +24,12 @@ from repro.core.mee import MACS_PER_LINE, MetadataRegion
 from repro.core.protocol import protocol_names, protocol_uses_modified_os
 from repro.integrity.geometry import TreeGeometry
 from repro.mem.address import AddressSpace
-from repro.sim.engine import simulate, simulate_from_plan, simulate_from_stream
-from repro.sim.machine import build_machine
+from repro.bench.perf import direct_cell
+from repro.sim.engine import simulate, simulate_from_plan
+from repro.sim.machine import build_machine, build_mee_machine
 from repro.sim.parallel import (
     ParallelSweepRunner,
     SweepCell,
-    precompile_plans,
-    precompile_streams,
-    run_cell,
     stream_spec_for,
 )
 from repro.sim.plan import MetadataPlan, compile_metadata_plan
@@ -38,24 +37,19 @@ from repro.sim.replay import compile_boundary_stream
 from repro.sim.runner import run_protocol_sweep
 from repro.util.units import MB
 from repro.workloads.registry import (
-    boundary_stream_cache_clear,
-    materialize_boundary_stream,
-    materialize_metadata_plan,
+    compiled_cache_clear,
+    compiled_cache_size,
+    materialize_compiled,
     materialize_trace,
-    metadata_plan_cache_clear,
-    metadata_plan_cache_size,
-    metadata_plan_spec,
     profile_spec,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_caches():
-    boundary_stream_cache_clear()
-    metadata_plan_cache_clear()
+    compiled_cache_clear()
     yield
-    boundary_stream_cache_clear()
-    metadata_plan_cache_clear()
+    compiled_cache_clear()
 
 
 def machine_tree_state(machine):
@@ -72,8 +66,9 @@ def machine_tree_state(machine):
 
 class TestPlanBitIdentity:
     """Every registered protocol, both BMT disciplines, real crypto:
-    the plan-driven replay must end in exactly the direct path's state
-    — timing result and persisted tree bytes alike."""
+    the plan-driven replay into an MEE-only machine must end in exactly
+    the ``simulate()`` oracle's state — timing result and persisted
+    tree bytes alike."""
 
     @pytest.mark.parametrize("integrity_mode", ["eager", "lazy"])
     @pytest.mark.parametrize("protocol", protocol_names())
@@ -91,9 +86,9 @@ class TestPlanBitIdentity:
             trace, small_config, seed=7, modified_os=modified
         )
         plan = compile_metadata_plan(stream, small_config)
-        plan_machine = build_machine(
+        plan_machine = build_mee_machine(
             small_config, protocol, functional=True,
-            seed=7, integrity_mode=integrity_mode,
+            integrity_mode=integrity_mode,
         )
         planned = simulate_from_plan(stream, plan, plan_machine)
 
@@ -102,20 +97,20 @@ class TestPlanBitIdentity:
             direct_machine
         )
 
-    def test_plan_matches_stream_timing_only(self, small_config):
-        """Timing-only machines (no functional crypto) through both
-        replay flavours, including the pointer-chasing profile."""
+    def test_plan_matches_direct_timing_only(self, small_config):
+        """Timing-only machines (no functional crypto) on the
+        pointer-chasing profile, one compiled pair for every protocol."""
         trace = materialize_trace(profile_spec("parsec", "canneal", 800, 7))
         stream = compile_boundary_stream(trace, small_config, seed=7)
         plan = compile_metadata_plan(stream, small_config)
         for protocol in ("volatile", "strict", "amnt"):
-            streamed = simulate_from_stream(
-                stream, build_machine(small_config, protocol, seed=7)
+            direct = simulate(
+                build_machine(small_config, protocol, seed=7), trace, seed=7
             )
             planned = simulate_from_plan(
-                stream, plan, build_machine(small_config, protocol, seed=7)
+                stream, plan, build_mee_machine(small_config, protocol)
             )
-            assert planned == streamed, protocol
+            assert planned == direct, protocol
 
 
 GEOMETRY_CHOICES = {
@@ -242,50 +237,47 @@ class TestPremixedAccess:
 
 
 class TestPlanCache:
+    """The compiled-pair cache: one (stream, plan) per stream spec."""
+
     def test_same_spec_returns_same_object(self, small_config):
-        spec = metadata_plan_spec(
-            stream_spec_for(
-                SweepCell(
-                    protocol="strict",
-                    trace=profile_spec("parsec", "blackscholes", 400, 7),
-                    seed=7,
-                    replay=True,
-                ),
-                small_config,
-            )
+        spec = stream_spec_for(
+            SweepCell(
+                protocol="strict",
+                trace=profile_spec("parsec", "blackscholes", 400, 7),
+                seed=7,
+            ),
+            small_config,
         )
-        first = materialize_metadata_plan(spec, small_config)
-        second = materialize_metadata_plan(spec, small_config)
-        assert isinstance(first, MetadataPlan)
+        first = materialize_compiled(spec, small_config)
+        second = materialize_compiled(spec, small_config)
+        assert isinstance(first[1], MetadataPlan)
         assert first is second
-        assert metadata_plan_cache_size() == 1
+        assert compiled_cache_size() == 1
 
     def test_geometry_change_forces_recompile(self, small_config):
         cell = SweepCell(
             protocol="strict",
             trace=profile_spec("parsec", "blackscholes", 400, 7),
             seed=7,
-            replay=True,
         )
         bigger = default_config(
             capacity_bytes=small_config.pcm.capacity_bytes * 4
         )
-        base_spec = metadata_plan_spec(stream_spec_for(cell, small_config))
-        resized_spec = metadata_plan_spec(stream_spec_for(cell, bigger))
+        base_spec = stream_spec_for(cell, small_config)
+        resized_spec = stream_spec_for(cell, bigger)
         assert base_spec != resized_spec
-        first = materialize_metadata_plan(base_spec, small_config)
-        second = materialize_metadata_plan(resized_spec, bigger)
-        assert first is not second
-        assert metadata_plan_cache_size() == 2
+        first = materialize_compiled(base_spec, small_config)
+        second = materialize_compiled(resized_spec, bigger)
+        assert first[1] is not second[1]
+        assert compiled_cache_size() == 2
 
     def test_metadata_cache_change_shares_the_plan(self, small_config):
         """A config differing only in metadata-cache capacity maps to
-        the same plan spec — the plan never depends on cache shape."""
+        the same spec — the plan never depends on cache shape."""
         cell = SweepCell(
             protocol="strict",
             trace=profile_spec("parsec", "blackscholes", 400, 7),
             seed=7,
-            replay=True,
         )
         resized_cache = replace(
             small_config,
@@ -294,42 +286,27 @@ class TestPlanCache:
                 capacity_bytes=small_config.metadata_cache.capacity_bytes * 2,
             ),
         )
-        base_spec = metadata_plan_spec(stream_spec_for(cell, small_config))
-        other_spec = metadata_plan_spec(stream_spec_for(cell, resized_cache))
+        base_spec = stream_spec_for(cell, small_config)
+        other_spec = stream_spec_for(cell, resized_cache)
         assert base_spec == other_spec
-        first = materialize_metadata_plan(base_spec, small_config)
-        second = materialize_metadata_plan(other_spec, resized_cache)
-        assert first is second
-        assert metadata_plan_cache_size() == 1
-
-    def test_precompile_counts_distinct_plans(self, small_config):
-        cells = [
-            SweepCell(
-                protocol=name,
-                trace=profile_spec("parsec", "blackscholes", 400, 7),
-                seed=7,
-                replay=True,
-            )
-            for name in ("volatile", "leaf", "amnt", "amnt++")
-        ]
-        precompile_streams(cells, small_config)
-        # Three stock-OS protocols share one plan; amnt++ gets its own.
-        assert precompile_plans(cells, small_config) == 2
-        assert metadata_plan_cache_size() == 2
+        first = materialize_compiled(base_spec, small_config)
+        second = materialize_compiled(other_spec, resized_cache)
+        assert first[1] is second[1]
+        assert compiled_cache_size() == 1
 
 
 class TestSweepPaths:
     def test_run_protocol_sweep_plan_matches_direct(self, small_config):
-        trace_spec = profile_spec("parsec", "bodytrack", 800, 7)
+        """A raw trace (literal spec) through the sweep, against the
+        oracle on the same trace."""
+        trace = materialize_trace(profile_spec("parsec", "bodytrack", 800, 7))
         protocols = ("volatile", "strict", "amnt", "amnt++")
-        planned = run_protocol_sweep(trace_spec, small_config, protocols, seed=7)
-        unplanned = run_protocol_sweep(
-            trace_spec, small_config, protocols, seed=7, plan=False
-        )
-        direct = run_protocol_sweep(
-            trace_spec, small_config, protocols, seed=7, replay=False
-        )
-        assert planned == unplanned == direct
+        planned = run_protocol_sweep(trace, small_config, protocols, seed=7)
+        for name in protocols:
+            direct = simulate(
+                build_machine(small_config, name, seed=7), trace, seed=7
+            )
+            assert planned[name] == direct, name
 
     def test_parallel_plan_matches_serial_direct(self, small_config):
         cells = [
@@ -337,15 +314,11 @@ class TestSweepPaths:
                 protocol=name,
                 trace=profile_spec("parsec", "bodytrack", 800, 7),
                 seed=7,
-                replay=True,
             )
-            for name in ("volatile", "strict", "amnt")
+            for name in ("volatile", "strict", "amnt", "amnt++")
         ]
         parallel = ParallelSweepRunner(workers=2).run(cells, small_config)
-        serial = [
-            run_cell(replace(cell, replay=False), small_config)
-            for cell in cells
-        ]
+        serial = [direct_cell(cell, small_config) for cell in cells]
         assert parallel == serial
 
     def test_fault_campaigns_stay_unplanned(self):

@@ -61,6 +61,8 @@ class TestProfileRun:
         top_level = (
             fractions["trace_gen"]
             + fractions["setup"]
+            + fractions["boundary_compile"]
+            + fractions["boundary_plan"]
             + fractions["engine"]
             + fractions["export"]
         )
@@ -86,40 +88,32 @@ class TestProfileRun:
         with pytest.raises(ConfigError):
             profile_run(integrity_mode="never")
 
-    def test_plan_run_measures_boundary_plan(self):
-        doc = profile_run(
-            benchmark="blackscholes",
-            protocol="leaf",
-            accesses=1500,
-            seed=11,
-            capture_cprofile=False,
-            replay=True,
-            plan=True,
-        )
-        assert validate_profile_document(doc) == []
-        assert doc["run"]["replay"] is True
-        assert doc["run"]["plan"] is True
-        assert doc["phases"]["boundary_compile"] > 0.0
-        assert doc["phases"]["boundary_plan"] > 0.0
-        # The planned replay produces the same result as the direct run.
-        direct = profile_run(
-            benchmark="blackscholes",
-            protocol="leaf",
-            accesses=1500,
-            seed=11,
-            capture_cprofile=False,
-        )
-        assert doc["result"] == direct["result"]
+    def test_plan_run_measures_boundary_plan(self, document):
+        """Every profile runs the sweep-cell pipeline: both compile
+        phases are measured, and the result is the oracle's."""
+        from repro.bench.perf import direct_cell
+        from repro.config import default_config
+        from repro.sim.parallel import SweepCell
+        from repro.workloads.registry import profile_spec
 
-    def test_plan_requires_replay(self):
-        with pytest.raises(ValueError):
-            profile_run(
-                benchmark="blackscholes",
+        assert "replay" not in document["run"]
+        assert "plan" not in document["run"]
+        assert document["phases"]["boundary_compile"] > 0.0
+        assert document["phases"]["boundary_plan"] > 0.0
+        direct = direct_cell(
+            SweepCell(
                 protocol="leaf",
-                accesses=100,
-                capture_cprofile=False,
-                plan=True,
-            )
+                trace=profile_spec("parsec", "blackscholes", 1500, 11),
+                seed=11,
+            ),
+            default_config(),
+        )
+        assert document["result"] == {
+            "cycles": direct.cycles,
+            "accesses": direct.accesses,
+            "llc_hit_rate": round(direct.llc_hit_rate, 6),
+            "mdcache_hit_rate": round(direct.mdcache_hit_rate, 6),
+        }
 
 
 class TestValidator:

@@ -1,30 +1,31 @@
-"""Boundary-event compilation: compiled replay == direct simulation.
+"""Boundary-event compilation: the sweep executor == direct simulation.
 
-The replay pipeline (repro.sim.replay) simulates the protocol-agnostic
-data side once and replays the resulting boundary-event stream into
-every protocol's MEE. Its entire correctness claim is *bit-identity*
-with the direct path, so these tests compare full
-:class:`SimulationResult` objects — and, for functional machines, the
-persisted tree bytes and root registers left behind — never summaries.
+Every sweep cell simulates the protocol-agnostic data side once per
+stream group (repro.sim.replay), compiles its metadata plan, and
+replays both into the cell's MEE. The entire correctness claim is
+*bit-identity* with the ``simulate()`` oracle, so these tests compare
+full :class:`SimulationResult` objects — and, for functional machines,
+the persisted tree bytes and root registers left behind — never
+summaries.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.bench.perf import reference_cells
+from repro.bench.perf import direct_cell, reference_cells
 from repro.config import default_config
 from repro.core.mee import MetadataRegion
-from repro.core.protocol import protocol_names, protocol_uses_modified_os
-from repro.sim.engine import simulate, simulate_from_stream
-from repro.sim.machine import build_machine
+from repro.core.protocol import protocol_names
+from repro.sim.engine import simulate, simulate_from_plan
+from repro.sim.machine import build_machine, build_mee_machine
 from repro.sim.parallel import (
     ParallelSweepRunner,
     SweepCell,
-    precompile_streams,
     run_cell,
     stream_spec_for,
 )
+from repro.sim.plan import compile_metadata_plan
 from repro.sim.replay import (
     EVENT_FILL,
     EVENT_PERSIST,
@@ -35,20 +36,20 @@ from repro.sim.replay import (
 from repro.sim.runner import run_protocol_sweep
 from repro.util.units import MB
 from repro.workloads.registry import (
-    boundary_stream_cache_clear,
-    boundary_stream_cache_size,
     boundary_stream_spec,
-    materialize_boundary_stream,
+    compiled_cache_clear,
+    compiled_cache_size,
+    materialize_compiled,
     materialize_trace,
     profile_spec,
 )
 
 
 @pytest.fixture(autouse=True)
-def _clean_stream_cache():
-    boundary_stream_cache_clear()
+def _clean_compiled_cache():
+    compiled_cache_clear()
     yield
-    boundary_stream_cache_clear()
+    compiled_cache_clear()
 
 
 def machine_tree_state(machine):
@@ -67,47 +68,41 @@ def machine_tree_state(machine):
 
 class TestFunctionalEquivalence:
     """Every registered protocol, both BMT disciplines, real crypto:
-    the replayed MEE must end in the same state the direct walk does."""
+    a sweep cell run by the executor must equal the ``simulate()``
+    oracle on a full machine."""
 
     @pytest.mark.parametrize("integrity_mode", ["eager", "lazy"])
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_replay_matches_direct(self, small_config, protocol, integrity_mode):
-        trace = materialize_trace(profile_spec("parsec", "blackscholes", 600, 7))
-        modified = protocol_uses_modified_os(protocol)
+        cell = SweepCell(
+            protocol=protocol,
+            trace=profile_spec("parsec", "blackscholes", 600, 7),
+            seed=7,
+            functional=True,
+            integrity_mode=integrity_mode,
+        )
+        assert run_cell(cell, small_config) == direct_cell(cell, small_config)
 
+    def test_flush_at_end_equivalence(self, small_config):
+        trace = materialize_trace(profile_spec("parsec", "canneal", 600, 7))
         direct_machine = build_machine(
-            small_config, protocol, functional=True,
-            seed=7, integrity_mode=integrity_mode,
+            small_config, "strict", functional=True, seed=7
         )
-        direct = simulate(direct_machine, trace, seed=7)
-
-        stream = compile_boundary_stream(
-            trace, small_config, seed=7, modified_os=modified
+        direct = simulate(direct_machine, trace, seed=7, flush_llc_at_end=True)
+        stream = compile_boundary_stream(trace, small_config, seed=7)
+        replay_machine = build_mee_machine(
+            small_config, "strict", functional=True
         )
-        replay_machine = build_machine(
-            small_config, protocol, functional=True,
-            seed=7, integrity_mode=integrity_mode,
+        replayed = simulate_from_plan(
+            stream,
+            compile_metadata_plan(stream, small_config),
+            replay_machine,
+            flush_llc_at_end=True,
         )
-        replayed = simulate_from_stream(stream, replay_machine)
-
         assert replayed == direct
         assert machine_tree_state(replay_machine) == machine_tree_state(
             direct_machine
         )
-
-    def test_flush_at_end_equivalence(self, small_config):
-        trace = materialize_trace(profile_spec("parsec", "canneal", 600, 7))
-        direct = simulate(
-            build_machine(small_config, "strict", functional=True, seed=7),
-            trace, seed=7, flush_llc_at_end=True,
-        )
-        stream = compile_boundary_stream(trace, small_config, seed=7)
-        replayed = simulate_from_stream(
-            stream,
-            build_machine(small_config, "strict", functional=True, seed=7),
-            flush_llc_at_end=True,
-        )
-        assert replayed == direct
 
 
 class TestStreamContents:
@@ -141,10 +136,10 @@ class TestStreamCache:
         spec = boundary_stream_spec(
             profile_spec("parsec", "blackscholes", 400, 7), small_config, seed=7
         )
-        first = materialize_boundary_stream(spec, small_config)
-        second = materialize_boundary_stream(spec, small_config)
+        first = materialize_compiled(spec, small_config)
+        second = materialize_compiled(spec, small_config)
         assert first is second
-        assert boundary_stream_cache_size() == 1
+        assert compiled_cache_size() == 1
 
     def test_geometry_change_forces_recompile(self, small_config):
         trace_spec = profile_spec("parsec", "blackscholes", 400, 7)
@@ -158,10 +153,10 @@ class TestStreamCache:
         )
         resized = boundary_stream_spec(trace_spec, bigger_llc, seed=7)
         assert resized != base
-        first = materialize_boundary_stream(base, small_config)
-        second = materialize_boundary_stream(resized, bigger_llc)
+        first = materialize_compiled(base, small_config)
+        second = materialize_compiled(resized, bigger_llc)
         assert first is not second
-        assert boundary_stream_cache_size() == 2
+        assert compiled_cache_size() == 2
 
     def test_metadata_geometry_is_not_in_the_key(self, small_config):
         """Configs differing only on the MEE side share one stream —
@@ -178,30 +173,91 @@ class TestStreamCache:
             trace_spec, small_config, seed=7
         ) == boundary_stream_spec(trace_spec, other, seed=7)
 
-    def test_precompile_counts_distinct_data_sides(self, small_config):
+    def test_stock_os_key_ignores_subtree_level(self):
+        """Only the modified OS reads the subtree level (its region
+        map), so stock-OS cells at levels 2-7 share one compiled pair
+        while amnt++ compiles one per level."""
+        config = default_config()
+        trace_spec = profile_spec("parsec", "blackscholes", 400, 7)
+
+        def specs(protocol):
+            return {
+                stream_spec_for(
+                    SweepCell(
+                        protocol=protocol,
+                        trace=trace_spec,
+                        seed=7,
+                        config=config.with_amnt(subtree_level=level),
+                    ),
+                    config,
+                )
+                for level in range(2, 8)
+            }
+
+        assert len(specs("volatile") | specs("amnt")) == 1
+        assert len(specs("amnt++")) == 6
+
+
+class TestResidency:
+    """The executor compiles each stream group once and keeps at most
+    COMPILED_CACHE_CAPACITY pairs alive — what holds a figure grid's
+    peak memory flat as the grid grows."""
+
+    def test_grid_compiles_each_spec_once_and_stays_bounded(
+        self, small_config, monkeypatch
+    ):
+        import repro.sim.plan
+        import repro.sim.replay
+        from repro.workloads.registry import COMPILED_CACHE_CAPACITY
+
+        compiled = {"stream": [], "plan": 0}
+        sizes = []
+        real_stream = repro.sim.replay.compile_boundary_stream
+        real_plan = repro.sim.plan.compile_metadata_plan
+
+        def count_stream(trace, config, **kwargs):
+            compiled["stream"].append((trace.name, kwargs["modified_os"]))
+            sizes.append(compiled_cache_size())
+            return real_stream(trace, config, **kwargs)
+
+        def count_plan(stream, config):
+            compiled["plan"] += 1
+            return real_plan(stream, config)
+
+        monkeypatch.setattr(
+            repro.sim.replay, "compile_boundary_stream", count_stream
+        )
+        monkeypatch.setattr(repro.sim.plan, "compile_metadata_plan", count_plan)
+
+        protocols = ("volatile", "leaf", "amnt++", "strict", "amnt")
         cells = [
             SweepCell(
-                protocol=name,
-                trace=profile_spec("parsec", "blackscholes", 400, 7),
+                protocol=protocol,
+                trace=profile_spec("parsec", name, 400, 7),
                 seed=7,
-                replay=True,
             )
-            for name in ("volatile", "leaf", "amnt", "amnt++")
+            for name in ("blackscholes", "bodytrack", "canneal")
+            for protocol in protocols
         ]
-        # Three stock-OS protocols share one stream; amnt++ gets its own.
-        assert precompile_streams(cells, small_config) == 2
-        assert boundary_stream_cache_size() == 2
+        results = ParallelSweepRunner(workers=1).run(cells, small_config)
+        sizes.append(compiled_cache_size())
+
+        distinct = {stream_spec_for(cell, small_config) for cell in cells}
+        assert len(distinct) == 6  # 3 traces x {stock, modified} OS
+        assert len(compiled["stream"]) == len(set(compiled["stream"])) == 6
+        assert compiled["plan"] == 6
+        assert max(sizes) <= COMPILED_CACHE_CAPACITY
+        assert [r.protocol for r in results] == [c.protocol for c in cells]
 
 
 class TestSweepPaths:
     def test_run_protocol_sweep_replay_default_matches_direct(self, small_config):
         trace_spec = profile_spec("parsec", "bodytrack", 800, 7)
         protocols = ("volatile", "strict", "amnt", "amnt++")
-        replayed = run_protocol_sweep(trace_spec, small_config, protocols, seed=7)
-        direct = run_protocol_sweep(
-            trace_spec, small_config, protocols, seed=7, replay=False
-        )
-        assert replayed == direct
+        swept = run_protocol_sweep(trace_spec, small_config, protocols, seed=7)
+        for name in protocols:
+            cell = SweepCell(protocol=name, trace=trace_spec, seed=7)
+            assert swept[name] == direct_cell(cell, small_config), name
 
     def test_parallel_replay_matches_serial_direct(self, small_config):
         cells = [
@@ -209,23 +265,37 @@ class TestSweepPaths:
                 protocol=name,
                 trace=profile_spec("parsec", "bodytrack", 800, 7),
                 seed=7,
-                replay=True,
             )
             for name in ("volatile", "strict", "amnt")
         ]
         parallel = ParallelSweepRunner(workers=2).run(cells, small_config)
-        serial = [
-            run_cell(replace(cell, replay=False), small_config) for cell in cells
-        ]
+        serial = [direct_cell(cell, small_config) for cell in cells]
         assert parallel == serial
+
+    @pytest.mark.parametrize("raw_trace", [False, True])
+    def test_serial_sweep_validates_cells(self, small_config, raw_trace):
+        """A serial sweep runs the same cell validation as the pool, for
+        raw traces and specs alike."""
+        from repro.errors import ConfigValidationError
+
+        trace = profile_spec("parsec", "bodytrack", 300, 7)
+        if raw_trace:
+            trace = materialize_trace(trace)
+        with pytest.raises(ConfigValidationError) as excinfo:
+            run_protocol_sweep(
+                trace,
+                small_config,
+                ("volatile", "amnt"),
+                scatter_span_chunks=-3,
+                workers=1,
+            )
+        assert excinfo.value.field == "cell.scatter_span_chunks"
 
     def test_stream_spec_keys_off_protocol_os_variant(self, small_config):
         trace_spec = profile_spec("parsec", "bodytrack", 800, 7)
-        amnt = SweepCell(protocol="amnt", trace=trace_spec, seed=7, replay=True)
-        amntpp = SweepCell(
-            protocol="amnt++", trace=trace_spec, seed=7, replay=True
-        )
-        leaf = SweepCell(protocol="leaf", trace=trace_spec, seed=7, replay=True)
+        amnt = SweepCell(protocol="amnt", trace=trace_spec, seed=7)
+        amntpp = SweepCell(protocol="amnt++", trace=trace_spec, seed=7)
+        leaf = SweepCell(protocol="leaf", trace=trace_spec, seed=7)
         assert stream_spec_for(amnt, small_config) == stream_spec_for(
             leaf, small_config
         )
@@ -237,8 +307,9 @@ class TestSweepPaths:
 @pytest.mark.slow
 class TestReferenceGridProperty:
     """The acceptance property: every cell of the full reference grid
-    (3 benchmarks x 6 figure protocols, 20k accesses) is bit-identical
-    through the compiled-replay path, in both integrity modes."""
+    (3 benchmarks x 6 figure protocols, 20k accesses) run by the sweep
+    executor is bit-identical to the ``simulate()`` oracle, in both
+    integrity modes."""
 
     @pytest.mark.parametrize("integrity_mode", ["eager", "lazy"])
     def test_full_grid_bit_identical(self, integrity_mode):
@@ -248,9 +319,8 @@ class TestReferenceGridProperty:
             for cell in reference_cells()
         ]
         assert len(cells) == 18
-        for cell in cells:
-            direct = run_cell(cell, config)
-            replayed = run_cell(replace(cell, replay=True), config)
-            assert replayed == direct, (
-                f"replay diverged for {cell.protocol}/{cell.trace.label()}"
+        swept = ParallelSweepRunner(workers=1).run(cells, config)
+        for cell, result in zip(cells, swept):
+            assert result == direct_cell(cell, config), (
+                f"sweep diverged for {cell.protocol}/{cell.trace.label()}"
             )

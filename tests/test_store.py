@@ -120,17 +120,17 @@ class TestFingerprint:
             pinned, other
         )
 
-    def test_execution_strategy_is_excluded(self, small_config):
-        """replay/plan are bit-identical engine paths (property-tested
-        elsewhere) and MUST NOT fragment the store."""
-        cell = small_cells()[0]
-        fp = cell_fingerprint(cell, small_config)
-        for flags in (
-            {"replay": True, "plan": False},
-            {"replay": True, "plan": True},
-            {"replay": False, "plan": False},
-        ):
-            assert cell_fingerprint(replace(cell, **flags), small_config) == fp
+    def test_execution_strategy_is_excluded(self, small_config, store):
+        """How a grid is executed — serially or over a pool, grouped
+        with whichever neighbours — MUST NOT fragment the store: a pool
+        run's entries serve an identical serial run in full."""
+        cells = small_cells()
+        ParallelSweepRunner(workers=2).run(cells, small_config, store=store)
+        assert store.session["puts"] == len(cells)
+        ParallelSweepRunner(workers=1).run(
+            cells[::-1], small_config, store=store
+        )
+        assert store.session["hits"] == len(cells)
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +580,37 @@ class TestHistoryCli:
         assert "serial" in out and "warm_vs_cold" in out
         assert "-50" in out  # serial halved
 
+    def test_mixed_old_and_new_legs(self, tmp_path, capsys):
+        """A log recorded before the direct/sweep legs existed still
+        renders: shared legs get a delta, new legs stand alone, and
+        retired legs drop out of the table."""
+        log = tmp_path / "hist.jsonl"
+        entries = [
+            {
+                "recorded_at": "2026-08-01T00:00:00+00:00",
+                "timings_seconds": {
+                    "serial": 3.4, "serial_replay": 2.0,
+                    "serial_plan": 1.3, "warm_sweep": 0.2,
+                },
+                "speedups": {"plan_vs_serial": 2.66, "warm_vs_cold": 10.0},
+            },
+            {
+                "recorded_at": "2026-10-17T00:00:00+00:00",
+                "timings_seconds": {
+                    "direct": 3.4, "sweep": 1.2, "warm_sweep": 0.1,
+                },
+                "speedups": {"sweep_vs_direct": 2.8, "warm_vs_cold": 12.0},
+            },
+        ]
+        log.write_text(
+            "".join(json.dumps(entry) + "\n" for entry in entries)
+        )
+        assert main(["history", str(log)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "sweep_vs_direct" in out and "direct" in out
+        assert "-50" in out  # warm_sweep halved: the shared leg diffs
+        assert "serial_plan" not in out and "plan_vs_serial" not in out
+
     def test_missing_log_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["history", str(tmp_path / "absent.jsonl")])
@@ -589,8 +620,6 @@ class TestCacheLimitFlag:
     def test_cli_flag_applies(self, tmp_path, capsys):
         from repro.workloads.registry import (
             effective_cache_limits,
-            set_plan_cache_limit,
-            set_stream_cache_limit,
             set_trace_cache_limit,
         )
 
@@ -606,13 +635,9 @@ class TestCacheLimitFlag:
                 )
                 == EXIT_OK
             )
-            assert effective_cache_limits() == {
-                "trace": 5, "stream": 5, "plan": 5,
-            }
+            assert effective_cache_limits() == {"trace": 5}
         finally:
             set_trace_cache_limit(before["trace"])
-            set_stream_cache_limit(before["stream"])
-            set_plan_cache_limit(before["plan"])
 
     def test_invalid_limit_rejected(self):
         with pytest.raises(SystemExit):
@@ -625,9 +650,9 @@ class TestCacheLimitFlag:
 
     @pytest.mark.parametrize(
         "value,expected",
-        [("7", {"trace": 7, "stream": 7, "plan": 7}),
-         ("bogus", {"trace": 64, "stream": 32, "plan": 32}),
-         ("0", {"trace": 64, "stream": 32, "plan": 32})],
+        [("7", {"trace": 7}),
+         ("bogus", {"trace": 64}),
+         ("0", {"trace": 64})],
     )
     def test_env_var_applies_at_import(self, value, expected):
         """$REPRO_CACHE_LIMIT is read at module import (so spawned

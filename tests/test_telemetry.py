@@ -290,17 +290,21 @@ class TestWorkloadCaches:
         with pytest.raises(ValueError):
             workloads.set_trace_cache_limit(0)
         with pytest.raises(ValueError):
-            workloads.set_stream_cache_limit(-1)
+            workloads.set_trace_cache_limit(-1)
 
     def test_shrinking_limit_evicts_overflow(self):
-        prev = workloads.stream_cache_limit()
+        prev = workloads.trace_cache_limit()
         try:
-            workloads.set_stream_cache_limit(8)
-            assert workloads.stream_cache_limit() == 8
-            workloads.set_stream_cache_limit(1)
-            assert workloads.boundary_stream_cache_size() <= 1
+            workloads.set_trace_cache_limit(8)
+            assert workloads.trace_cache_limit() == 8
+            for accesses in (100, 110, 120):
+                workloads.materialize_trace(
+                    profile_spec("parsec", "blackscholes", accesses, SEED)
+                )
+            workloads.set_trace_cache_limit(1)
+            assert workloads.trace_cache_size() <= 1
         finally:
-            workloads.set_stream_cache_limit(prev)
+            workloads.set_trace_cache_limit(prev)
 
 
 # ----------------------------------------------------------------------
@@ -428,19 +432,18 @@ class TestSurfacing:
             seed=SEED,
             output=None,
             include_uncached=False,
-            include_replay=False,
             rounds=1,
             metrics_out=tmp_path / "METRICS.json",
         )
         timings = report["timings_seconds"]
-        assert "serial_telemetry" in timings
+        assert "sweep_telemetry" in timings
         overhead = report["telemetry"]
         assert overhead["overhead_ratio"] > 0
         assert overhead["budget_ratio"] == pytest.approx(1.05)
         assert isinstance(overhead["within_budget"], bool)
         doc = json.loads((tmp_path / "METRICS.json").read_text())
         assert validate_metrics_document(doc) == []
-        assert doc["run"]["kind"] == "reference-bench-serial"
+        assert doc["run"]["kind"] == "reference-bench-sweep"
 
     def test_profile_document_reports_environment(self):
         doc = profile_run(
