@@ -322,10 +322,24 @@ class SetAssociativeCache:
         return dropped
 
     def flush_all(self) -> List[EvictedLine]:
-        """Writeback-and-invalidate every line; returns them all."""
+        """Writeback-and-invalidate every line; returns them all.
+
+        Only tests call this; :meth:`flush_dirty` is the bulk flush the
+        data cache uses, so the two can fold into one later.
+        """
         flushed = self.drop_all()
         self.stats.add("flushes")
         return flushed
+
+    def flush_dirty(self) -> List[Key]:
+        """:meth:`flush_all`, returning only the dirty keys (sets in
+        order, LRU to MRU within each set) and building no
+        :class:`EvictedLine` per resident line."""
+        dirty = [line.key for line in self.lines() if line.dirty]
+        for bucket in self._sets:
+            bucket.clear()
+        self.stats.add("flushes")
+        return dirty
 
     def occupancy(self) -> int:
         return sum(len(bucket) for bucket in self._sets)

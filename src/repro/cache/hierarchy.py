@@ -127,7 +127,7 @@ class DataCache:
         Models a full cache flush (e.g. at region-of-interest end so
         trailing writebacks are attributed to the run that caused them).
         """
-        return [line.key for line in self._cache.flush_all() if line.dirty]
+        return self._cache.flush_dirty()
 
     def flush_block(self, addr: int) -> Optional[int]:
         """CLWB-style single-line flush; returns the block if it was

@@ -23,6 +23,48 @@ MINOR_LIMIT = (1 << MINOR_BITS) - 1  # 127
 MINORS_PER_BLOCK = 64
 MAJOR_BYTES = 8
 ENCODED_BYTES = MAJOR_BYTES + (MINORS_PER_BLOCK * MINOR_BITS) // 8  # 64
+_PACKED_BYTES = ENCODED_BYTES - MAJOR_BYTES  # 56
+
+
+def _lane_mask(lane_bits: int, field_bits: int, offset: int) -> int:
+    """``field_bits`` ones at ``offset`` in every ``lane_bits`` lane of
+    the 64-byte minor image."""
+    lane = ((1 << field_bits) - 1) << offset
+    mask = 0
+    for start in range(0, MINORS_PER_BLOCK * 8, lane_bits):
+        mask |= lane << start
+    return mask
+
+
+def _pack_steps() -> Tuple[Tuple[int, int, int], ...]:
+    """Mask/shift table squeezing one minor per byte into 7-bit fields.
+
+    ``bytes(minors)`` puts minor ``i`` at bit ``8 * i``; the packed wire
+    format wants it at bit ``7 * i``. Each step closes the gap inside
+    lanes twice as wide as the last: a lane holds two packed fields of
+    ``field`` bits, and the upper one moves down next to the lower one
+    (``(x & low) | ((x & high) >> distance)``). Six steps take 16-bit
+    lanes of two minors up to one 512-bit lane of all 64; decoding runs
+    the table backwards with left shifts.
+    """
+    steps = []
+    field_bits, lane_bits = MINOR_BITS, 16
+    while lane_bits <= MINORS_PER_BLOCK * 8:
+        half = lane_bits // 2
+        steps.append(
+            (
+                _lane_mask(lane_bits, field_bits, 0),
+                _lane_mask(lane_bits, field_bits, half),
+                half - field_bits,
+            )
+        )
+        field_bits *= 2
+        lane_bits *= 2
+    return tuple(steps)
+
+
+_PACK_STEPS = _pack_steps()
+_UNPACK_STEPS = _PACK_STEPS[::-1]
 
 
 @dataclass
@@ -67,11 +109,11 @@ class CounterBlock:
 
     def encode(self) -> bytes:
         """Pack into the 64-byte line stored in NVM."""
-        packed = 0
-        for minor in reversed(self.minors):
-            packed = (packed << MINOR_BITS) | minor
+        packed = int.from_bytes(bytes(self.minors), "little")
+        for low, high, distance in _PACK_STEPS:
+            packed = (packed & low) | ((packed & high) >> distance)
         return self.major.to_bytes(MAJOR_BYTES, "little") + packed.to_bytes(
-            ENCODED_BYTES - MAJOR_BYTES, "little"
+            _PACKED_BYTES, "little"
         )
 
     @classmethod
@@ -79,17 +121,28 @@ class CounterBlock:
         """Unpack a 64-byte line (zero-filled lines decode to zeros)."""
         if len(raw) != ENCODED_BYTES:
             raise ValueError(f"counter block must be {ENCODED_BYTES} bytes")
-        major = int.from_bytes(raw[:MAJOR_BYTES], "little")
         packed = int.from_bytes(raw[MAJOR_BYTES:], "little")
-        minors = []
-        for _ in range(MINORS_PER_BLOCK):
-            minors.append(packed & MINOR_LIMIT)
-            packed >>= MINOR_BITS
-        return cls(major=major, minors=minors)
+        for low, high, distance in _UNPACK_STEPS:
+            packed = (packed & low) | ((packed << distance) & high)
+        return _unchecked(
+            cls,
+            int.from_bytes(raw[:MAJOR_BYTES], "little"),
+            list(packed.to_bytes(MINORS_PER_BLOCK, "little")),
+        )
 
     def copy(self) -> "CounterBlock":
-        return CounterBlock(major=self.major, minors=list(self.minors))
+        return _unchecked(CounterBlock, self.major, list(self.minors))
 
     def is_zero(self) -> bool:
         """True for a freshly initialized (never written) page."""
         return self.major == 0 and not any(self.minors)
+
+
+def _unchecked(cls: type, major: int, minors: List[int]) -> CounterBlock:
+    """Build a block whose fields are in range by construction, skipping
+    the constructor's per-minor validation (decode masks every minor to
+    7 bits and reads an unsigned major; copy clones a valid block)."""
+    block = object.__new__(cls)
+    block.major = major
+    block.minors = minors
+    return block

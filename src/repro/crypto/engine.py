@@ -46,17 +46,19 @@ class CryptoEngine(ABC):
 
     def encrypt(self, plaintext: bytes, address: int, major: int, minor: int) -> bytes:
         """Counter-mode encryption: XOR the block with its pad."""
-        return _xor(plaintext, self.pad(address, major, minor))
+        return xor_bytes(plaintext, self.pad(address, major, minor))
 
     def decrypt(self, ciphertext: bytes, address: int, major: int, minor: int) -> bytes:
         """Counter-mode decryption (identical to encryption)."""
-        return _xor(ciphertext, self.pad(address, major, minor))
+        return xor_bytes(ciphertext, self.pad(address, major, minor))
 
 
-def _xor(data: bytes, pad: bytes) -> bytes:
+def xor_bytes(data: bytes, pad: bytes) -> bytes:
     if len(data) != len(pad):
         raise ValueError(f"length mismatch: data {len(data)} vs pad {len(pad)}")
-    return bytes(a ^ b for a, b in zip(data, pad))
+    return (
+        int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")
+    ).to_bytes(len(data), "little")
 
 
 class RealCryptoEngine(CryptoEngine):

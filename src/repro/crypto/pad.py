@@ -6,7 +6,7 @@ call sites read like the hardware datapath: make the pad, XOR it in.
 
 from __future__ import annotations
 
-from repro.crypto.engine import CryptoEngine
+from repro.crypto.engine import CryptoEngine, xor_bytes
 
 
 def make_pad(engine: CryptoEngine, address: int, major: int, minor: int) -> bytes:
@@ -16,6 +16,4 @@ def make_pad(engine: CryptoEngine, address: int, major: int, minor: int) -> byte
 
 def apply_pad(data: bytes, pad: bytes) -> bytes:
     """XOR a block with its pad (encrypt and decrypt are the same op)."""
-    if len(data) != len(pad):
-        raise ValueError(f"length mismatch: data {len(data)} vs pad {len(pad)}")
-    return bytes(a ^ b for a, b in zip(data, pad))
+    return xor_bytes(data, pad)

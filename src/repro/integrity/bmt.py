@@ -152,10 +152,18 @@ class BonsaiMerkleTree:
     # ------------------------------------------------------------------
 
     def persisted_counter(self, index: int) -> CounterBlock:
-        if self.backend.contains(MetadataRegion.COUNTERS, index):
-            raw = self.backend.read(MetadataRegion.COUNTERS, index, ENCODED_BYTES)
-            return CounterBlock.decode(raw)
-        return CounterBlock()
+        return CounterBlock.decode(self.persisted_counter_bytes(index))
+
+    def persisted_counter_bytes(self, index: int) -> bytes:
+        """The persisted 64-byte counter line (genesis zeros if never
+        written). The codec is a bijection on 64-byte lines, so this is
+        ``persisted_counter(index).encode()`` without the round trip."""
+        if not self.backend.contains(MetadataRegion.COUNTERS, index):
+            return self._genesis_counter_bytes()
+        raw = self.backend.read(MetadataRegion.COUNTERS, index, ENCODED_BYTES)
+        if len(raw) != ENCODED_BYTES:
+            raise ValueError(f"counter block must be {ENCODED_BYTES} bytes")
+        return raw
 
     def current_counter(self, index: int) -> CounterBlock:
         block = self._volatile_counters.get(index)
@@ -416,41 +424,61 @@ class BonsaiMerkleTree:
         recovery procedure's core: after a crash the in-subtree nodes
         are assumed stale and must be rebuilt from the (persisted)
         leaves before comparing against the trusted register.
+
+        Every node under ``subtree`` is rebuilt and written, level by
+        level in ascending index order, but only counters present in
+        the COUNTERS image are hashed. An absent counter is a genesis
+        line, so a node whose whole span is absent holds the same value
+        as every other such node on its level and is hashed once per
+        level. The last node of each level may cover a partial (edge)
+        span and is always built from its own children.
         """
-        level, index = subtree
-        first, last = self.geometry.counter_range_of(subtree)
-        # hashes of the current level's entries, keyed by entry index
-        child_hashes: Dict[int, bytes] = {}
-        for counter_index in range(first, last):
-            raw = self.persisted_counter(counter_index).encode()
-            child_hashes[counter_index] = self._hash_node(raw)
+        level, _ = subtree
+        arity = self.geometry.arity
+        lo, hi = self.geometry.counter_range_of(subtree)
+        # Hashes of the child level's non-genesis entries by index, and
+        # the hash every other entry of that level shares (None when
+        # there is no other entry).
+        hashes: Dict[int, bytes] = {
+            index: self._hash_node(self.persisted_counter_bytes(index))
+            for index in self.backend.keys(MetadataRegion.COUNTERS)
+            if lo <= index < hi
+        }
+        genesis: Optional[bytes] = None
+        if len(hashes) < hi - lo:
+            genesis = self._hash_node(self._genesis_counter_bytes())
         nodes_recomputed = 0
-        current_level = self.geometry.counter_level - 1
-        while current_level >= level:
+        for current_level in range(self.geometry.counter_level - 1, level - 1, -1):
+            parent_lo, parent_hi = lo // arity, (hi - 1) // arity + 1
+            built = {child // arity for child in hashes}
+            built.add(parent_hi - 1)
             parent_hashes: Dict[int, bytes] = {}
-            parent_first = first // (
-                self.geometry.arity ** (self.geometry.counter_level - current_level)
-            )
-            # Group children by parent index.
-            grouped: Dict[int, List[Tuple[int, bytes]]] = {}
-            for child_index, digest in child_hashes.items():
-                grouped.setdefault(child_index // self.geometry.arity, []).append(
-                    (child_index, digest)
-                )
-            for parent_index, children in grouped.items():
-                slots = bytearray(NODE_BYTES)
-                for child_index, digest in children:
-                    slot = child_index % self.geometry.arity
-                    slots[slot * SLOT_BYTES : (slot + 1) * SLOT_BYTES] = digest
-                node_value = bytes(slots)
+            # A full node over genesis children only, zero-padded like
+            # any other node when arity * SLOT_BYTES < NODE_BYTES.
+            parent_genesis: Optional[bytes] = None
+            genesis_node = b""
+            if len(built) < parent_hi - parent_lo:
+                genesis_node = genesis * arity
+                genesis_node += bytes(NODE_BYTES - len(genesis_node))
+                parent_genesis = self._hash_node(genesis_node)
+            for parent_index in range(parent_lo, parent_hi):
+                if parent_index in built:
+                    start = parent_index * arity
+                    node_value = b"".join(
+                        hashes.get(child, genesis)
+                        for child in range(start, min(start + arity, hi))
+                    )
+                    node_value += bytes(NODE_BYTES - len(node_value))
+                    parent_hashes[parent_index] = self._hash_node(node_value)
+                else:
+                    node_value = genesis_node
                 node_id: NodeId = (current_level, parent_index)
                 self.backend.write(MetadataRegion.TREE, node_id, node_value)
                 self._volatile_nodes.pop(node_id, None)
                 self._lazy_slots.pop(node_id, None)
-                parent_hashes[parent_index] = self._hash_node(node_value)
                 nodes_recomputed += 1
-            child_hashes = parent_hashes
-            current_level -= 1
+            hashes, genesis = parent_hashes, parent_genesis
+            lo, hi = parent_lo, parent_hi
         subtree_bytes = self.persisted_node_bytes(subtree)
         return subtree_bytes, nodes_recomputed
 

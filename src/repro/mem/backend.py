@@ -33,6 +33,11 @@ class MetadataRegion(enum.Enum):
     def __repr__(self) -> str:  # compact in test output
         return f"<{self.value}>"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality and runs in C; ``Enum.__hash__`` hashes
+    # the member name in Python on every region-dict lookup.
+    __hash__ = object.__hash__
+
 
 Key = Hashable
 

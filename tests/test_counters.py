@@ -99,3 +99,72 @@ class TestWireFormat:
         other = CounterBlock()
         other.bump(0)
         assert one.encode() != other.encode()
+
+
+# ----------------------------------------------------------------------
+# codec oracle: the original per-minor loops
+# ----------------------------------------------------------------------
+
+
+def reference_encode(major, minors):
+    """Pack minors one at a time, last minor in the highest bits."""
+    packed = 0
+    for minor in reversed(minors):
+        packed = (packed << 7) | minor
+    return major.to_bytes(8, "little") + packed.to_bytes(56, "little")
+
+
+def reference_decode(raw):
+    """Unpack minors one at a time from the low end; ``(major, minors)``."""
+    major = int.from_bytes(raw[:8], "little")
+    packed = int.from_bytes(raw[8:], "little")
+    minors = []
+    for _ in range(64):
+        minors.append(packed & 0x7F)
+        packed >>= 7
+    return major, minors
+
+
+majors = st.integers(min_value=0, max_value=2**64 - 1)
+valid_minors = st.lists(
+    st.integers(min_value=0, max_value=MINOR_LIMIT), min_size=64, max_size=64
+)
+
+
+class TestCodecOracle:
+    @given(major=majors, minors=valid_minors)
+    def test_encode_matches_reference(self, major, minors):
+        block = CounterBlock(major=major, minors=minors)
+        assert block.encode() == reference_encode(major, minors)
+
+    @given(raw=st.binary(min_size=ENCODED_BYTES, max_size=ENCODED_BYTES))
+    def test_decode_matches_reference_on_any_line(self, raw):
+        block = CounterBlock.decode(raw)
+        assert (block.major, block.minors) == reference_decode(raw)
+        assert block.encode() == raw  # the codec is a bijection on lines
+
+    @given(raw=st.binary(min_size=ENCODED_BYTES, max_size=ENCODED_BYTES))
+    def test_decoded_blocks_pass_the_constructor(self, raw):
+        # decode and copy skip validation; this is why that is sound.
+        block = CounterBlock.decode(raw)
+        for candidate in (block, block.copy()):
+            assert type(candidate) is CounterBlock
+            assert CounterBlock(candidate.major, list(candidate.minors)) == candidate
+
+    def test_copy_does_not_share_minors(self):
+        block = CounterBlock.decode(bytes(range(64)))
+        clone = block.copy()
+        clone.minors[0] ^= 1
+        assert block.minors[0] != clone.minors[0]
+
+    def test_extreme_lines(self):
+        for raw in (bytes(64), b"\xff" * 64, bytes(8) + b"\xff" * 56):
+            block = CounterBlock.decode(raw)
+            assert (block.major, block.minors) == reference_decode(raw)
+            assert block.encode() == raw
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            CounterBlock(minors=[128] * 64)
+        with pytest.raises(ValueError):
+            CounterBlock(major=-1)

@@ -81,6 +81,12 @@ class TestEncryption:
         with pytest.raises(ValueError):
             apply_pad(b"ab", b"a")
 
+    @given(draw=st.data(), length=st.integers(min_value=0, max_value=80))
+    def test_xor_matches_bytewise_reference(self, draw, length):
+        line = st.binary(min_size=length, max_size=length)
+        data, pad = draw.draw(line), draw.draw(line)
+        assert apply_pad(data, pad) == bytes(a ^ b for a, b in zip(data, pad))
+
 
 class TestHelpers:
     def test_make_pad_matches_engine(self):

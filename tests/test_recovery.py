@@ -1,5 +1,7 @@
 """Crash injection and the Table 4 analytic recovery model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import default_config
@@ -42,6 +44,18 @@ class TestCrashInjector:
         assert outcome.ok, outcome.detail
         for addr, payload in payloads.items():
             assert mee.read_block_data(addr) == payload
+
+    @pytest.mark.parametrize("arity", [2, 4])
+    @pytest.mark.parametrize("protocol", ["leaf", "osiris", "anubis", "amnt"])
+    def test_narrow_arity_trees_recover(self, config, protocol, arity):
+        config = replace(config, security=replace(config.security, tree_arity=arity))
+        mee = MemoryEncryptionEngine(
+            config, make_protocol(protocol, config), functional=True
+        )
+        for i in range(20):
+            mee.write_block((i * 5) % 16 * 4096, data=bytes([i + 1]) * 64)
+        outcome = CrashInjector(mee).crash_and_recover()
+        assert outcome.ok, outcome.detail
 
     def test_volatile_protocol_cannot_recover(self, config):
         mee = MemoryEncryptionEngine(
