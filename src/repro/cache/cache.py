@@ -16,8 +16,8 @@ filters with eviction side effects.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterator, List, Optional
 
 from repro.errors import CacheError
 from repro.util.bitops import is_power_of_two
@@ -87,11 +87,9 @@ _MIX_MEMO: dict = {}
 def mix_of(key: Key) -> int:
     """The memoized deterministic mix of ``key``.
 
-    The value callers may pass to
-    :meth:`SetAssociativeCache.access_line_premixed` — exactly what the
-    default (``set_of=None``) placement derives per access, resolved
-    once. The metadata-plan compiler uses this to bake set indices into
-    its per-event records.
+    Exactly what the default (``set_of=None``) placement derives: the
+    set index is ``mix_of(key) & (num_sets - 1)``. The MEE's datapath
+    records carry it so the kernel probes a set without hashing.
     """
     mixed = _MIX_MEMO.get(key)
     if mixed is None:
@@ -210,70 +208,6 @@ class SetAssociativeCache:
         self._fills.value += 1
         return victim
 
-    def access_line(self, key: Key, dirty: bool = False):
-        """One full reference — probe, and on a miss fill — in a single
-        set walk. Equivalent to ``lookup`` followed by ``mark_dirty`` /
-        ``insert`` (same counters, same LRU transitions), fused because
-        the pair sits on the simulator's innermost loop.
-
-        Returns ``True`` on a hit (recency refreshed, dirty bit OR-ed
-        in), ``None`` on a miss that evicted nothing, or the
-        :class:`EvictedLine` victim displaced by the fill.
-        """
-        index = self._index_memo.get(key)
-        if index is None:
-            index = self._index(key)
-        bucket = self._sets[index]
-        line = bucket.get(key)
-        if line is not None:
-            if dirty:
-                line.dirty = True
-            bucket.move_to_end(key)
-            self._hits.value += 1
-            return True
-        self._misses.value += 1
-        victim: Optional[EvictedLine] = None
-        if len(bucket) >= self.associativity:
-            victim_key, victim_line = bucket.popitem(last=False)
-            victim = EvictedLine(victim_key, victim_line.dirty)
-            self._evictions.value += 1
-            if victim_line.dirty:
-                self._dirty_evictions.value += 1
-        bucket[key] = CacheLine(key, dirty)
-        self._fills.value += 1
-        return victim
-
-    def access_line_premixed(self, key: Key, mixed: int, dirty: bool = False):
-        """:meth:`access_line` with the key's deterministic mix supplied
-        by the caller (see :func:`mix_of`).
-
-        Only valid on a cache using default placement (``set_of=None``),
-        where the set index is exactly ``mixed & (num_sets - 1)`` —
-        identical to what :meth:`_index` derives, so hits, fills, LRU
-        transitions, and victims match :meth:`access_line` bit for bit.
-        The plan-driven replay path pre-resolves the mix once per
-        metadata key instead of paying a memo-dict probe per reference.
-        """
-        bucket = self._sets[mixed & self._set_mask]
-        line = bucket.get(key)
-        if line is not None:
-            if dirty:
-                line.dirty = True
-            bucket.move_to_end(key)
-            self._hits.value += 1
-            return True
-        self._misses.value += 1
-        victim: Optional[EvictedLine] = None
-        if len(bucket) >= self.associativity:
-            victim_key, victim_line = bucket.popitem(last=False)
-            victim = EvictedLine(victim_key, victim_line.dirty)
-            self._evictions.value += 1
-            if victim_line.dirty:
-                self._dirty_evictions.value += 1
-        bucket[key] = CacheLine(key, dirty)
-        self._fills.value += 1
-        return victim
-
     def mark_dirty(self, key: Key) -> None:
         """Set the dirty bit on a resident line."""
         line = self._sets[self._index(key)].get(key)
@@ -321,20 +255,9 @@ class SetAssociativeCache:
             bucket.clear()
         return dropped
 
-    def flush_all(self) -> List[EvictedLine]:
-        """Writeback-and-invalidate every line; returns them all.
-
-        Only tests call this; :meth:`flush_dirty` is the bulk flush the
-        data cache uses, so the two can fold into one later.
-        """
-        flushed = self.drop_all()
-        self.stats.add("flushes")
-        return flushed
-
     def flush_dirty(self) -> List[Key]:
-        """:meth:`flush_all`, returning only the dirty keys (sets in
-        order, LRU to MRU within each set) and building no
-        :class:`EvictedLine` per resident line."""
+        """Writeback-and-invalidate every line; returns the dirty keys
+        (sets in order, LRU to MRU within each set)."""
         dirty = [line.key for line in self.lines() if line.dirty]
         for bucket in self._sets:
             bucket.clear()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Tuple
 
-from repro.cache.cache import EvictedLine, SetAssociativeCache, build_cache
+from repro.cache.cache import EvictedLine, build_cache
 from repro.config import MetadataCacheConfig
 
 #: Metadata cache key forms.
@@ -44,6 +44,8 @@ class MetadataCache:
 
     def __init__(self, config: MetadataCacheConfig, name: str = "mdcache") -> None:
         self.config = config
+        # Default placement (no ``set_of``): the MEE kernel indexes sets
+        # by ``mix_of(key)`` straight from its datapath records.
         self._cache = build_cache(
             config.capacity_bytes,
             config.line_bytes,
@@ -58,11 +60,6 @@ class MetadataCache:
         self.lookup = inner.lookup
         self.contains = inner.contains
         self.insert = inner.insert
-        self.access_line = inner.access_line
-        # Valid because build_cache above uses default placement
-        # (set_of=None): the premixed set index is bit-identical to the
-        # one access_line derives (see SetAssociativeCache).
-        self.access_line_premixed = inner.access_line_premixed
         self.mark_dirty = inner.mark_dirty
         self.clean = inner.clean
         self.is_dirty = inner.is_dirty

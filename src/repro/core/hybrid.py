@@ -106,9 +106,11 @@ class HybridSCMDRAMSystem:
         engine, local = self._route(addr)
         return engine.read_block_data(local)
 
-    def write_block(self, addr: int, data: Optional[bytes] = None) -> int:
+    def write_block(
+        self, addr: int, data: Optional[bytes] = None, fenced: bool = False
+    ) -> int:
         engine, local = self._route(addr)
-        return engine.write_block(local, data=data)
+        return engine.write_block(local, data=data, fenced=fenced)
 
     def is_scm(self, addr: int) -> bool:
         return self.layout.partition_of(addr)[0] == "scm"

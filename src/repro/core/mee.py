@@ -32,6 +32,18 @@ the engine (the volatile baseline's only metadata traffic); protocols
 hook fills and writebacks for their own bookkeeping (Anubis's shadow
 table lives entirely in those hooks).
 
+One kernel runs both paths: a read event and a write event over a
+*datapath record*, the tuple of everything the engine needs about an
+address (its metadata-cache keys with their set mixes and its ancestor
+chain, see :class:`RecordResolver`). The direct entries
+(:meth:`~MemoryEncryptionEngine.read_block`,
+:meth:`~MemoryEncryptionEngine.read_block_data`,
+:meth:`~MemoryEncryptionEngine.write_block`) resolve the record of one
+address and run one event; the sweep's planned replay
+(:meth:`~MemoryEncryptionEngine.replay_plan_events`) runs a compiled
+plan's records (:mod:`repro.sim.plan`). So single runs, the crash and
+tamper campaigns, and every figure exercise the same code.
+
 Timing and function are separable: built with ``functional=False`` the
 engine tracks cache/NVM events and cycles only; with
 ``functional=True`` it additionally maintains real encrypted bytes,
@@ -43,7 +55,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.cache import CacheLine
+from repro.cache.cache import CacheLine, mix_of
 from repro.cache.metadata_cache import (
     MetadataCache,
     counter_key,
@@ -73,86 +85,95 @@ _COUNTERS = MetadataRegion.COUNTERS
 _TREE = MetadataRegion.TREE
 _HMACS = MetadataRegion.HMACS
 
+#: Process-wide ancestor groups: tree shape -> leaf-parent index ->
+#: ``(path, triples)``. Sibling counters (one leaf parent) share one
+#: ancestor chain, so every record of a sibling group — in any engine
+#: or plan of that shape — holds the same two read-only objects. Growth
+#: is bounded by the leaf parents touched per simulated geometry.
+_ANCESTOR_GROUPS: Dict[Tuple[int, int], Dict[int, tuple]] = {}
 
-# Process-wide memos shared by every engine instance. A sweep builds a
-# fresh machine per cell, but the key tuples and ancestor paths depend
-# only on the address/tree geometry, so sharing them means only the
-# first cell of a given geometry pays to build each entry. All values
-# are immutable once built (tuples, and lists that are never mutated);
-# growth is bounded by the metadata footprint per distinct geometry.
-_COUNTER_KEY_CACHE: Dict[int, tuple] = {}
-_HMAC_KEY_CACHE: Dict[int, tuple] = {}
-_NODE_KEY_CACHE: Dict[NodeId, tuple] = {}
-_PATH_CACHE: Dict[tuple, Dict[int, List[NodeId]]] = {}
-_PATH_KEY_CACHE: Dict[tuple, Dict[int, List[Tuple[NodeId, tuple]]]] = {}
-
-
-def _shape_of(geometry: TreeGeometry) -> tuple:
-    """The path-memo shape key (what distinguishes ancestor paths)."""
-    return (geometry.num_counter_blocks, geometry.arity, geometry.page_bytes)
+#: Process-wide interned ``("ctr", i)`` / ``("hmac", line)`` keys. The
+#: tuples depend on the index alone, so the records that each engine and
+#: plan owns share one key object per line instead of one per owner (a
+#: sweep or storage grid builds many owners over the same lines).
+_COUNTER_KEYS: Dict[int, tuple] = {}
+_HMAC_KEYS: Dict[int, tuple] = {}
 
 
-def shared_counter_key(counter_index: int) -> tuple:
-    """The process-wide interned ``("ctr", i)`` key tuple."""
-    key = _COUNTER_KEY_CACHE.get(counter_index)
-    if key is None:
-        key = counter_key(counter_index)
-        _COUNTER_KEY_CACHE[counter_index] = key
-    return key
+class RecordResolver:
+    """Resolves a physical address to its datapath record.
 
+    A record is the tuple ``(ctr_key, ctr_mix, hmac_key, hmac_mix,
+    triples, path, counter_index)``: the metadata-cache keys of the
+    block's counter line and HMAC line with their deterministic set
+    mixes (:func:`~repro.cache.cache.mix_of`), the BMT ancestor chain
+    as ``(node, key, mix)`` triples, and the same chain as the node
+    list protocols receive. It is everything the MEE kernel needs
+    about an address, so an event does no address math or key hashing.
 
-def shared_hmac_key(hmac_line: int) -> tuple:
-    """The process-wide interned ``("hmac", line)`` key tuple."""
-    key = _HMAC_KEY_CACHE.get(hmac_line)
-    if key is None:
-        key = hmac_key(hmac_line)
-        _HMAC_KEY_CACHE[hmac_line] = key
-    return key
+    One record serves every block sharing a (counter line, HMAC line)
+    pair, and the memo is owned by whoever owns the resolver: each
+    engine keeps one for its direct entries, and
+    :func:`~repro.sim.plan.compile_metadata_plan` builds one per plan.
+    """
 
+    __slots__ = ("_address_space", "_geometry", "_shift", "_groups", "_records")
 
-def shared_node_key(node: NodeId) -> tuple:
-    """The process-wide interned ``("node", level, i)`` key tuple."""
-    key = _NODE_KEY_CACHE.get(node)
-    if key is None:
-        key = node_key(node[0], node[1])
-        _NODE_KEY_CACHE[node] = key
-    return key
+    def __init__(
+        self, geometry: TreeGeometry, address_space: AddressSpace
+    ) -> None:
+        self._address_space = address_space
+        self._geometry = geometry
+        # Blocks under one record: the finer of the page (counter line)
+        # and the HMAC line. Both are power-of-two aligned ranges.
+        self._shift = min(
+            address_space._page_shift,
+            address_space._block_shift + MACS_PER_LINE.bit_length() - 1,
+        )
+        self._groups = _ANCESTOR_GROUPS.setdefault(
+            (geometry.num_counter_blocks, geometry.arity), {}
+        )
+        self._records: Dict[int, tuple] = {}
 
+    def record(self, paddr: int) -> tuple:
+        """The record of the block at ``paddr`` (built on first use;
+        raises :class:`~repro.errors.AddressError` out of range)."""
+        record = self._records.get(paddr >> self._shift)
+        if record is None:
+            record = self._resolve(paddr)
+        return record
 
-def shared_ancestor_path(geometry: TreeGeometry, counter_index: int):
-    """The memoized ancestor chain — the *same list object* every
-    engine of this geometry shape resolves, so a plan built from it
-    hands protocols identical path data to the direct path's."""
-    memo = _PATH_CACHE.setdefault(_shape_of(geometry), {})
-    path = memo.get(counter_index)
-    if path is None:
-        path = geometry.ancestors_of_counter(counter_index)
-        memo[counter_index] = path
-    return path
-
-
-def shared_path_keys(geometry: TreeGeometry, counter_index: int):
-    """The memoized ``(node, key)`` ancestor pairs (see above)."""
-    memo = _PATH_KEY_CACHE.setdefault(_shape_of(geometry), {})
-    pairs = memo.get(counter_index)
-    if pairs is None:
-        pairs = [
-            (node, shared_node_key(node))
-            for node in shared_ancestor_path(geometry, counter_index)
-        ]
-        memo[counter_index] = pairs
-    return pairs
-
-
-def _region_of_key(key: tuple) -> MetadataRegion:
-    kind = key[0]
-    if kind == "ctr":
-        return MetadataRegion.COUNTERS
-    if kind == "node":
-        return MetadataRegion.TREE
-    if kind == "hmac":
-        return MetadataRegion.HMACS
-    raise ValueError(f"unknown metadata key kind {kind!r}")
+    def _resolve(self, paddr: int) -> tuple:
+        space = self._address_space
+        hmac_line = space.block_index(paddr) // MACS_PER_LINE
+        counter_index = space.page_index(paddr)
+        parent = counter_index // self._geometry.arity
+        group = self._groups.get(parent)
+        if group is None:
+            path = self._geometry.ancestors_of_counter(counter_index)
+            triples = []
+            for node in path:
+                key = node_key(node[0], node[1])
+                triples.append((node, key, mix_of(key)))
+            group = (path, tuple(triples))
+            self._groups[parent] = group
+        ctr_key = _COUNTER_KEYS.get(counter_index)
+        if ctr_key is None:
+            ctr_key = _COUNTER_KEYS[counter_index] = counter_key(counter_index)
+        hkey = _HMAC_KEYS.get(hmac_line)
+        if hkey is None:
+            hkey = _HMAC_KEYS[hmac_line] = hmac_key(hmac_line)
+        record = (
+            ctr_key,
+            mix_of(ctr_key),
+            hkey,
+            mix_of(hkey),
+            group[1],
+            group[0],
+            counter_index,
+        )
+        self._records[paddr >> self._shift] = record
+        return record
 
 
 class MemoryEncryptionEngine:
@@ -194,59 +215,20 @@ class MemoryEncryptionEngine:
         self.mdcache = MetadataCache(config.metadata_cache)
         self.registers = RegisterFile()
         self.stats = StatRegistry("mee")
-        # Pre-resolved counters for the per-access paths: bumping
-        # ``.value`` directly skips the string-keyed registry lookup on
-        # every data read/write (see NVMDevice for the same idiom).
+        # Pre-resolved counters for the per-event kernel: bumping
+        # ``.value`` directly skips the string-keyed registry lookup.
         self._ctr_data_reads = self.stats.counter("data_reads")
         self._ctr_data_writes = self.stats.counter("data_writes")
         self._ctr_walk_register = self.stats.counter("walk_stopped_at_register")
         self._ctr_walk_cache = self.stats.counter("walk_stopped_at_cache")
         self._ctr_md_writebacks = self.stats.counter("metadata_writebacks")
-        # Metadata-key memos: every read/write builds ("ctr", i) /
-        # ("hmac", line) / ("node", level, i) tuples for the cache; the
-        # key space is bounded by the metadata footprint, so memoizing
-        # them removes a tuple allocation per metadata touch. The node
-        # memo stores each counter's (node, key) pairs alongside the
-        # ancestor path so the walk loops allocate nothing. The memos
-        # are the process-wide caches above, shared across engines so
-        # repeated sweep cells reuse each other's work.
-        self._counter_keys = _COUNTER_KEY_CACHE
-        self._hmac_keys = _HMAC_KEY_CACHE
-        self._node_keys = _NODE_KEY_CACHE
-        shape = (
-            self.geometry.num_counter_blocks,
-            self.geometry.arity,
-            self.geometry.page_bytes,
-        )
-        self._path_memo = _PATH_CACHE.setdefault(shape, {})
-        self._path_key_memo = _PATH_KEY_CACHE.setdefault(shape, {})
-        # Hot bound methods resolved once, plus address decode pieces:
-        # the read/write paths inline the block/page split (a bounds
-        # check and two shifts) instead of paying two method calls per
-        # access.
-        self._block_index = self.address_space.block_index
-        self._page_index = self.address_space.page_index
-        self._as_capacity = self.address_space.capacity_bytes
-        self._block_shift = self.address_space._block_shift
-        self._page_shift = self.address_space._page_shift
-        self._md_latency = self.mdcache.access_latency_cycles
-        self._md_access = self.mdcache.access_line
         self._md_clean = self.mdcache.clean
-        # Per-region NVM access closures (see NVMDevice.reader/writer):
-        # each call site names its region statically.
-        self._read_data = self.nvm.reader(_DATA)
-        self._read_ctr = self.nvm.reader(_COUNTERS)
-        self._read_tree = self.nvm.reader(_TREE)
-        self._read_hmac = self.nvm.reader(_HMACS)
-        self._write_data = self.nvm.writer(_DATA)
+        #: The direct entries' address -> record memo (freed with the
+        #: engine; plans own theirs).
+        self._record = RecordResolver(self.geometry, self.address_space).record
         self._persist_ctr_write = self.nvm.writer(_COUNTERS, persist=True)
         self._persist_tree_write = self.nvm.writer(_TREE, persist=True)
         self._persist_hmac_write = self.nvm.writer(_HMACS, persist=True)
-        self._readers_by_kind = {
-            "ctr": self._read_ctr,
-            "node": self._read_tree,
-            "hmac": self._read_hmac,
-        }
         self._wb_writers_by_kind = {
             "ctr": self.nvm.writer(_COUNTERS),
             "node": self.nvm.writer(_TREE),
@@ -265,6 +247,8 @@ class MemoryEncryptionEngine:
         self.engine: Optional[CryptoEngine] = None
         self.tree: Optional[BonsaiMerkleTree] = None
         self._volatile_hmacs: Dict[int, bytes] = {}
+        #: Plaintext of the last functional read (read_block_data).
+        self._plaintext = b""
         #: Optional wear instrumentation (repro.mem.wear). When set,
         #: protocols report their private-region writes (e.g. Anubis's
         #: shadow table) here; the engine's own write paths are wrapped
@@ -287,122 +271,264 @@ class MemoryEncryptionEngine:
             root.write(self.tree.root_register)
 
         self.protocol = protocol
-        # Hook elision: the per-access paths call a protocol hook only
-        # when its class actually overrides it. Most of the lineup keeps
-        # the no-op defaults, so the common case pays an attribute test
-        # instead of a method call (several per simulated access). The
-        # checks are against the class, so monkeypatched instances of an
-        # overriding protocol still work.
+        self._writeback_hook = (
+            protocol.on_metadata_writeback
+            if type(protocol).on_metadata_writeback
+            is not MetadataPersistencePolicy.on_metadata_writeback
+            else None
+        )
+        protocol.bind(self)
+        self._read_event, self._write_event = self._build_kernel()
+
+    # ------------------------------------------------------------------
+    # the per-event kernel
+    # ------------------------------------------------------------------
+
+    def _build_kernel(self):
+        """Build the two per-event functions every entry runs.
+
+        ``read_event(paddr, record)`` authenticates one block fill and
+        ``write_event(paddr, record, data, fenced)`` performs one data
+        write, each returning its cycles (see the module docstring for
+        the steps). ``record`` comes from a :class:`RecordResolver`:
+        :meth:`read_block`/:meth:`write_block` resolve it per call, and
+        :meth:`replay_plan_events` takes it from a compiled plan.
+
+        Everything the events touch is resolved once here, except what
+        campaigns and wear tracking install after construction: the
+        write event reads ``fault_probe`` per call, and misses reach
+        :meth:`_writeback_metadata` (like protocols reach the
+        ``persist_*`` helpers) through the instance.
+
+        Protocol hooks are called only when the protocol's class
+        overrides them: most of the lineup keeps the no-op defaults, so
+        the common case pays an attribute test instead of a method call
+        several times per event. The checks are against the class, so
+        monkeypatched instances of an overriding protocol still work.
+        """
+        inner = self.mdcache._cache
+        sets = inner._sets
+        set_mask = inner._set_mask
+        assoc = inner.associativity
+        md_hits = inner._hits
+        md_misses = inner._misses
+        md_fills = inner._fills
+        md_evictions = inner._evictions
+        md_dirty_evictions = inner._dirty_evictions
+        md_latency = self.mdcache.access_latency_cycles
+        nvm = self.nvm
+        read_data = nvm.reader(_DATA)
+        read_ctr = nvm.reader(_COUNTERS)
+        read_tree = nvm.reader(_TREE)
+        read_hmac = nvm.reader(_HMACS)
+        write_data = nvm.writer(_DATA)
+        data_reads = self._ctr_data_reads
+        data_writes = self._ctr_data_writes
+        walk_cache = self._ctr_walk_cache
+        walk_register = self._ctr_walk_register
+        protocol = self.protocol
         base = MetadataPersistencePolicy
         proto_cls = type(protocol)
-        self._fill_hook = (
+        fill_hook = (
             protocol.on_metadata_fill
             if proto_cls.on_metadata_fill is not base.on_metadata_fill
             else None
         )
-        self._writeback_hook = (
-            protocol.on_metadata_writeback
-            if proto_cls.on_metadata_writeback is not base.on_metadata_writeback
-            else None
-        )
-        self._read_auth_hook = (
+        read_auth_hook = (
             protocol.on_read_authentication
             if proto_cls.on_read_authentication is not base.on_read_authentication
             else None
         )
-        self._default_extent = (
-            proto_cls.path_update_extent is base.path_update_extent
+        trusted = (
+            protocol.trusted_register_node
+            if proto_cls.has_trusted_registers
+            else None
         )
-        self._check_trusted = proto_cls.has_trusted_registers
-        protocol.bind(self)
+        extent_of = (
+            None
+            if proto_cls.path_update_extent is base.path_update_extent
+            else protocol.path_update_extent
+        )
+        on_data_write = protocol.on_data_write
+        wpq = self._wpq
+        functional = self.functional
+        block_shift = self.address_space._block_shift
+        posted_cycles = self._posted_write_cycles
+        fenced_cycles = nvm.write_latency_cycles
+        verify_and_decrypt = self._verify_and_decrypt
+        bump_and_store = self._functional_counter_bump_and_store
+        line_cls = CacheLine
+        mee = self
+
+        def reference(key, mix, dirty, nvm_read):
+            """One metadata-cache reference, LRU with write-allocate;
+            returns None on a hit, else the miss's extra cycles (NVM
+            fill, fill hook, lazy writeback of a dirty victim)."""
+            bucket = sets[mix & set_mask]
+            line = bucket.get(key)
+            if line is not None:
+                if dirty:
+                    line.dirty = True
+                bucket.move_to_end(key)
+                md_hits.value += 1
+                return None
+            md_misses.value += 1
+            victim = None
+            if len(bucket) >= assoc:
+                victim = bucket.popitem(last=False)[1]
+                md_evictions.value += 1
+                if victim.dirty:
+                    md_dirty_evictions.value += 1
+            bucket[key] = line_cls(key, dirty)
+            md_fills.value += 1
+            cycles = nvm_read()
+            if fill_hook is not None:
+                cycles += fill_hook(key)
+            if victim is not None and victim.dirty:
+                cycles += mee._writeback_metadata(victim.key)
+            return cycles
+
+        def read_event(paddr, record):
+            ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = (
+                record
+            )
+            data_reads.value += 1
+            cycles = read_data() + md_latency
+            tail = reference(ctr_key, ctr_mix, False, read_ctr)
+            if tail is not None:
+                cycles += tail
+            # Verification walk: stop at the first trusted anchor (a
+            # protocol NV register, or a cached node).
+            for node, key, mix in triples:
+                if trusted is not None and trusted(node, counter_index):
+                    walk_register.value += 1
+                    break
+                cycles += md_latency
+                tail = reference(key, mix, False, read_tree)
+                if tail is None:
+                    walk_cache.value += 1
+                    break
+                cycles += tail
+            cycles += md_latency
+            tail = reference(hkey, hmac_mix, False, read_hmac)
+            if tail is not None:
+                cycles += tail
+            if read_auth_hook is not None:
+                cycles += read_auth_hook(counter_index)
+            if functional:
+                mee._plaintext = verify_and_decrypt(paddr, counter_index)
+            return cycles
+
+        def write_event(paddr, record, data, fenced):
+            ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = (
+                record
+            )
+            data_writes.value += 1
+            probe = mee.fault_probe
+            if probe is not None:
+                # The functional tree updates the NV root register
+                # atomically with the counter bump, so a crash landing
+                # between that bump and the protocol's persists would
+                # fabricate a torn state no ADR machine can produce.
+                # Phase triggers inside the group are therefore deferred
+                # to the commit below (the write completes durably);
+                # triggers outside any group raise immediately.
+                probe.begin_group()
+            # 1. read-modify-write the counter.
+            cycles = md_latency
+            tail = reference(ctr_key, ctr_mix, True, read_ctr)
+            if tail is not None:
+                cycles += tail
+            if functional:
+                bump_and_store(paddr, counter_index, data, path)
+            # 2. update the HMAC line in cache.
+            cycles += md_latency
+            tail = reference(hkey, hmac_mix, True, read_hmac)
+            if tail is not None:
+                cycles += tail
+            # 3. update the ancestor path in cache (protocols with an NV
+            #    trust anchor stop below it; the extent is a path prefix).
+            if extent_of is not None:
+                triples = triples[: len(extent_of(counter_index, path))]
+            for node, key, mix in triples:
+                cycles += md_latency
+                tail = reference(key, mix, True, read_tree)
+                if tail is not None:
+                    cycles += tail
+            # 4. the data write itself (posted, unless under a fence).
+            write_data()
+            cycles += fenced_cycles if fenced else posted_cycles
+            # 5. protocol-specific persistence.
+            cycles += on_data_write(
+                counter_index, paddr >> block_shift, path, fenced=fenced
+            )
+            if wpq is not None:
+                # ADR drain at the group's commit point (before the
+                # commit callback, so a deferred crash finds the queue
+                # empty and the write durable — write_committed=True).
+                wpq.drain()
+            if probe is not None:
+                probe.commit_group()
+            return cycles
+
+        return read_event, write_event
 
     # ------------------------------------------------------------------
-    # path helpers
+    # entries
     # ------------------------------------------------------------------
+
+    def read_block(self, paddr: int) -> int:
+        """Authenticate-and-fetch one block; returns cycles."""
+        return self._read_event(paddr, self._record(paddr))
+
+    def read_block_data(self, paddr: int) -> bytes:
+        """Functional read: authenticate, decrypt, return plaintext."""
+        if not self.functional:
+            raise RuntimeError("read_block_data requires functional mode")
+        self._read_event(paddr, self._record(paddr))
+        return self._plaintext
+
+    def write_block(
+        self,
+        paddr: int,
+        data: Optional[bytes] = None,
+        fenced: bool = False,
+    ) -> int:
+        """One data write reaching memory; returns cycles.
+
+        ``fenced`` marks an application persistence fence (CLWB +
+        sfence): the data write itself is synchronous rather than
+        posted, and the protocol's fence-ordered bookkeeping is charged
+        on the critical path.
+        """
+        return self._write_event(paddr, self._record(paddr), data, fenced)
+
+    def replay_plan_events(self, kinds, addrs, event_records) -> int:
+        """Run a compiled plan's events through the kernel; returns
+        total cycles.
+
+        ``kinds``/``addrs`` are a :class:`~repro.sim.replay.BoundaryStream`'s
+        columns (0 = fill, 1 = posted writeback, 2 = fenced persist) and
+        ``event_records[i]`` is event ``i``'s record from its
+        :class:`~repro.sim.plan.MetadataPlan`.
+        """
+        read_event = self._read_event
+        write_event = self._write_event
+        cycles = 0
+        for kind, addr, record in zip(kinds, addrs, event_records):
+            if kind == 0:
+                cycles += read_event(addr, record)
+            else:
+                cycles += write_event(addr, record, None, kind == 2)
+        return cycles
 
     def ancestor_path(self, counter_index: int) -> List[NodeId]:
-        """Memoized ancestor chain (leaf-parent .. root) for a counter."""
-        path = self._path_memo.get(counter_index)
-        if path is None:
-            path = self.geometry.ancestors_of_counter(counter_index)
-            self._path_memo[counter_index] = path
-        return path
-
-    def _ancestor_path_keys(
-        self, counter_index: int
-    ) -> List[Tuple[NodeId, tuple]]:
-        """The ancestor chain paired with ready-made cache keys."""
-        pairs = self._path_key_memo.get(counter_index)
-        if pairs is None:
-            pairs = [
-                (node, self._node_key(node))
-                for node in self.ancestor_path(counter_index)
-            ]
-            self._path_key_memo[counter_index] = pairs
-        return pairs
-
-    def _node_key(self, node: NodeId) -> tuple:
-        key = self._node_keys.get(node)
-        if key is None:
-            key = node_key(node[0], node[1])
-            self._node_keys[node] = key
-        return key
-
-    def _counter_key(self, counter_index: int) -> tuple:
-        key = self._counter_keys.get(counter_index)
-        if key is None:
-            key = counter_key(counter_index)
-            self._counter_keys[counter_index] = key
-        return key
-
-    def _hmac_key(self, hmac_line: int) -> tuple:
-        key = self._hmac_keys.get(hmac_line)
-        if key is None:
-            key = hmac_key(hmac_line)
-            self._hmac_keys[hmac_line] = key
-        return key
-
-    def _hmac_line_of_block(self, block_index: int) -> int:
-        return block_index // MACS_PER_LINE
+        """The ancestor chain (leaf-parent .. root) of a counter."""
+        return self.geometry.ancestors_of_counter(counter_index)
 
     # ------------------------------------------------------------------
-    # metadata cache plumbing
+    # metadata writeback
     # ------------------------------------------------------------------
-
-    def _fetch_metadata(self, key: tuple) -> Tuple[int, bool]:
-        """Bring a metadata line on-chip; returns (cycles, was_hit)."""
-        result = self._md_access(key)
-        if result is True:
-            return self._md_latency, True
-        return (
-            self._md_latency
-            + self._fill_miss(key, self._readers_by_kind[key[0]], result),
-            False,
-        )
-
-    def _fetch(self, key: tuple, nvm_read, dirty: bool = False) -> int:
-        """One metadata reference through the cache; returns cycles.
-
-        Fused probe+fill (+dirty-mark) with the region's pre-bound NVM
-        read closure passed by the caller — the per-access form of
-        :meth:`_fetch_metadata`.
-        """
-        result = self._md_access(key, dirty)
-        if result is True:
-            return self._md_latency
-        return self._md_latency + self._fill_miss(key, nvm_read, result)
-
-    def _fill_miss(self, key: tuple, nvm_read, victim) -> int:
-        """Miss tail after :meth:`SetAssociativeCache.access_line` has
-        filled ``key``: NVM fetch latency, the protocol's fill hook, and
-        the lazy writeback of a displaced dirty victim."""
-        cycles = nvm_read()
-        hook = self._fill_hook
-        if hook is not None:
-            cycles += hook(key)
-        if victim is not None and victim.dirty:
-            cycles += self._writeback_metadata(victim.key)
-        return cycles
 
     def _writeback_metadata(self, key: tuple) -> int:
         """Lazy writeback of a dirty metadata line on eviction (posted:
@@ -460,7 +586,7 @@ class MemoryEncryptionEngine:
             # neither is anything enqueued since the last fence.
             probe.on_persist()
         cycles = self._persist_ctr_write()
-        self._md_clean(self._counter_key(counter_index))
+        self._md_clean(counter_key(counter_index))
         if self.functional:
             self.tree.persist_counter(counter_index)
         if self._wpq is not None:
@@ -472,7 +598,7 @@ class MemoryEncryptionEngine:
         if probe is not None:
             probe.on_persist()
         cycles = self._persist_hmac_write()
-        self._md_clean(self._hmac_key(hmac_line))
+        self._md_clean(hmac_key(hmac_line))
         if self.functional:
             first = hmac_line * MACS_PER_LINE
             for block in range(first, first + MACS_PER_LINE):
@@ -488,7 +614,7 @@ class MemoryEncryptionEngine:
         if probe is not None:
             probe.on_persist()
         cycles = self._persist_tree_write()
-        self._md_clean(self._node_key(node))
+        self._md_clean(node_key(node[0], node[1]))
         if self.functional:
             self.tree.persist_node(node)
         if self._wpq is not None:
@@ -540,104 +666,8 @@ class MemoryEncryptionEngine:
         zero_cipher = bytes(self.config.security.block_bytes)
         return data_mac(self.engine, zero_cipher, paddr, 0, 0)
 
-    # ------------------------------------------------------------------
-    # the read path
-    # ------------------------------------------------------------------
-
-    def read_block(self, paddr: int) -> int:
-        """Authenticate-and-fetch one block; returns cycles.
-
-        In functional mode the plaintext is available afterwards via
-        :meth:`read_block_data`, which shares this code path.
-        """
-        cycles, _ = self._read_block_common(paddr)
-        return cycles
-
-    def read_block_data(self, paddr: int) -> bytes:
-        """Functional read: authenticate, decrypt, return plaintext."""
-        if not self.functional:
-            raise RuntimeError("read_block_data requires functional mode")
-        _, plaintext = self._read_block_common(paddr)
-        return plaintext
-
-    def _read_block_common(self, paddr: int) -> Tuple[int, bytes]:
-        # Address decode and key lookup, inlined (bounds check + two
-        # shifts + memo probes); the slow helpers run only on the first
-        # touch of an index or for an out-of-range address.
-        if 0 <= paddr < self._as_capacity:
-            block_index = paddr >> self._block_shift
-            counter_index = paddr >> self._page_shift
-        else:
-            block_index = self._block_index(paddr)  # raises AddressError
-            counter_index = self._page_index(paddr)
-        ctr_key = self._counter_keys.get(counter_index)
-        if ctr_key is None:
-            ctr_key = self._counter_key(counter_index)
-        pairs = self._path_key_memo.get(counter_index)
-        if pairs is None:
-            pairs = self._ancestor_path_keys(counter_index)
-        hmac_line = block_index // MACS_PER_LINE
-        hkey = self._hmac_keys.get(hmac_line)
-        if hkey is None:
-            hkey = self._hmac_key(hmac_line)
-
-        cycles = self._read_data()
-        self._ctr_data_reads.value += 1
-
-        md_access = self._md_access
-        md_latency = self._md_latency
-        result = md_access(ctr_key)
-        cycles += md_latency
-        if result is not True:
-            cycles += self._fill_miss(ctr_key, self._read_ctr, result)
-
-        # Verification walk: stop at the first trusted anchor. The
-        # per-node register test only matters for protocols with NV
-        # anchors (AMNT's subtree root, BMF's root set); the rest of
-        # the lineup walks a branch-free loop.
-        if self._check_trusted:
-            trusted = self.protocol.trusted_register_node
-            for node, key in pairs:
-                if trusted(node, counter_index):
-                    self._ctr_walk_register.value += 1
-                    break
-                result = md_access(key)
-                if result is True:
-                    cycles += md_latency
-                    self._ctr_walk_cache.value += 1
-                    break
-                cycles += md_latency + self._fill_miss(
-                    key, self._read_tree, result
-                )
-        else:
-            for node, key in pairs:
-                result = md_access(key)
-                if result is True:
-                    cycles += md_latency
-                    self._ctr_walk_cache.value += 1
-                    break
-                cycles += md_latency + self._fill_miss(
-                    key, self._read_tree, result
-                )
-
-        result = md_access(hkey)
-        cycles += md_latency
-        if result is not True:
-            cycles += self._fill_miss(hkey, self._read_hmac, result)
-        hook = self._read_auth_hook
-        if hook is not None:
-            cycles += hook(counter_index)
-
-        plaintext = b""
-        if self.functional:
-            plaintext = self._verify_and_decrypt(
-                paddr, block_index, counter_index
-            )
-        return cycles, plaintext
-
-    def _verify_and_decrypt(
-        self, paddr: int, block_index: int, counter_index: int
-    ) -> bytes:
+    def _verify_and_decrypt(self, paddr: int, counter_index: int) -> bytes:
+        block_index = self.address_space.block_index(paddr)
         block_base = self.address_space.block_base(paddr)
         if not self.nvm.backend.contains(MetadataRegion.DATA, block_index):
             # Never-written memory is not yet under counter-mode
@@ -659,121 +689,15 @@ class MemoryEncryptionEngine:
         self.tree.authenticate_or_raise(counter_index)
         return self.engine.decrypt(ciphertext, block_base, major, minor)
 
-    # ------------------------------------------------------------------
-    # the write path
-    # ------------------------------------------------------------------
-
-    def write_block(
-        self,
-        paddr: int,
-        data: Optional[bytes] = None,
-        fenced: bool = False,
-    ) -> int:
-        """One data write reaching memory; returns cycles.
-
-        ``fenced`` marks an application persistence fence (CLWB +
-        sfence): the data write itself is synchronous rather than
-        posted, and the protocol's fence-ordered bookkeeping is charged
-        on the critical path.
-        """
-        if 0 <= paddr < self._as_capacity:
-            block_index = paddr >> self._block_shift
-            counter_index = paddr >> self._page_shift
-        else:
-            block_index = self._block_index(paddr)  # raises AddressError
-            counter_index = self._page_index(paddr)
-        ctr_key = self._counter_keys.get(counter_index)
-        if ctr_key is None:
-            ctr_key = self._counter_key(counter_index)
-        pairs = self._path_key_memo.get(counter_index)
-        if pairs is None:
-            pairs = self._ancestor_path_keys(counter_index)
-        path = self._path_memo[counter_index]
-        hmac_line = block_index // MACS_PER_LINE
-        line_key = self._hmac_keys.get(hmac_line)
-        if line_key is None:
-            line_key = self._hmac_key(hmac_line)
-        self._ctr_data_writes.value += 1
-        probe = self.fault_probe
-        if probe is not None:
-            # The functional tree updates the NV root register atomically
-            # with the counter bump, so a crash landing between that bump
-            # and the protocol's persists would fabricate a torn state no
-            # ADR machine can produce. Phase triggers inside the group are
-            # therefore deferred to the commit below (the write completes
-            # durably); triggers outside any group raise immediately.
-            probe.begin_group()
-
-        md_access = self._md_access
-        md_latency = self._md_latency
-
-        # 1. read-modify-write the counter.
-        result = md_access(ctr_key, True)
-        cycles = md_latency
-        if result is not True:
-            cycles += self._fill_miss(ctr_key, self._read_ctr, result)
-        if self.functional:
-            self._functional_counter_bump_and_store(
-                paddr,
-                self.address_space.block_base(paddr),
-                block_index,
-                counter_index,
-                data,
-            )
-
-        # 2. update the HMAC line in cache.
-        result = md_access(line_key, True)
-        cycles += md_latency
-        if result is not True:
-            cycles += self._fill_miss(line_key, self._read_hmac, result)
-
-        # 3. update the ancestor path in cache (protocols with an NV
-        #    trust anchor stop the update below it).
-        read_tree = self._read_tree
-        if self._default_extent:
-            for node, key in pairs:
-                result = md_access(key, True)
-                cycles += md_latency
-                if result is not True:
-                    cycles += self._fill_miss(key, read_tree, result)
-        else:
-            extent = self.protocol.path_update_extent(counter_index, path)
-            node_key_of = self._node_key
-            for node in extent:
-                key = node_key_of(node)
-                result = md_access(key, True)
-                cycles += md_latency
-                if result is not True:
-                    cycles += self._fill_miss(key, read_tree, result)
-
-        # 4. the data write itself (posted, unless under a fence).
-        self._write_data()
-        cycles += (
-            self.nvm.write_latency_cycles if fenced else self._posted_write_cycles
-        )
-
-        # 5. protocol-specific persistence.
-        cycles += self.protocol.on_data_write(
-            counter_index, block_index, path, fenced=fenced
-        )
-        if self._wpq is not None:
-            # ADR drain at the group's commit point (before the commit
-            # callback, so a deferred crash finds the queue empty and
-            # the write durable — matching write_committed=True).
-            self._wpq.drain()
-        if probe is not None:
-            probe.commit_group()
-        return cycles
-
     def _functional_counter_bump_and_store(
         self,
         paddr: int,
-        block_base: int,
-        block_index: int,
         counter_index: int,
         data: Optional[bytes],
-        path: Optional[List[NodeId]] = None,
+        path: List[NodeId],
     ) -> None:
+        block_index = self.address_space.block_index(paddr)
+        block_base = self.address_space.block_base(paddr)
         block_bytes = self.config.security.block_bytes
         plaintext = data if data is not None else bytes(block_bytes)
         if len(plaintext) != block_bytes:
@@ -792,243 +716,6 @@ class MemoryEncryptionEngine:
         self._volatile_hmacs[block_index] = data_mac(
             self.engine, ciphertext, block_base, major, minor
         )
-
-    # ------------------------------------------------------------------
-    # plan-driven replay (the sweep fast path, see repro.sim.plan)
-    # ------------------------------------------------------------------
-
-    def replay_plan_events(self, kinds, addrs, event_records) -> int:
-        """Drive the full read/write datapath from pre-resolved metadata
-        records; returns total cycles.
-
-        ``event_records[i]`` is the :mod:`repro.sim.plan` runtime record
-        for event ``i``: the interned counter/HMAC cache keys with their
-        premixed set indices, the ``(node, key, mix)`` ancestor triples,
-        and the shared ancestor-path list. Each iteration performs the
-        same cache transitions, NVM accesses, stat bumps, hooks, and
-        functional crypto as :meth:`read_block` / :meth:`write_block` in
-        the same order — only the per-event address decode, key-memo
-        probes, and set-index hashing are gone, because the plan
-        compiler resolved them once per (trace, geometry). Bit identity
-        with the direct path is enforced by ``tests/test_plan.py``
-        across the protocol lineup and both integrity modes.
-
-        The metadata-cache probe itself is inlined here rather than
-        going through :meth:`SetAssociativeCache.access_line_premixed`
-        — it is the single hottest operation of a sweep (several probes
-        per event, ~1M per reference grid), and the method-call frame
-        plus per-call attribute lookups dominate what remains after
-        planning. The inline body is a transcription of
-        ``access_line_premixed`` (same counters, same LRU transitions,
-        same victim semantics), valid because ``build_cache`` gives the
-        metadata cache default placement. A popped :class:`CacheLine`
-        doubles as the victim record — ``_fill_miss`` reads only
-        ``.key`` and ``.dirty``, which both classes carry.
-        """
-        # Hoists: everything the loop body touches, resolved once.
-        inner = self.mdcache._cache
-        sets = inner._sets
-        set_mask = inner._set_mask
-        assoc = inner.associativity
-        md_hits = inner._hits
-        md_misses = inner._misses
-        md_fills = inner._fills
-        md_evictions = inner._evictions
-        md_dirty_evictions = inner._dirty_evictions
-        line_cls = CacheLine
-        md_access = self._md_access
-        md_latency = self._md_latency
-        fill_miss = self._fill_miss
-        read_ctr = self._read_ctr
-        read_tree = self._read_tree
-        read_hmac = self._read_hmac
-        read_data = self._read_data
-        write_data = self._write_data
-        data_reads = self._ctr_data_reads
-        data_writes = self._ctr_data_writes
-        walk_cache = self._ctr_walk_cache
-        walk_register = self._ctr_walk_register
-        trusted = (
-            self.protocol.trusted_register_node if self._check_trusted else None
-        )
-        read_auth_hook = self._read_auth_hook
-        default_extent = self._default_extent
-        extent_of = self.protocol.path_update_extent
-        node_key_of = self._node_key
-        on_data_write = self.protocol.on_data_write
-        wpq = self._wpq
-        functional = self.functional
-        block_shift = self._block_shift
-        block_base_of = self.address_space.block_base
-        bump_and_store = self._functional_counter_bump_and_store
-        verify_and_decrypt = self._verify_and_decrypt
-        posted_cycles = self._posted_write_cycles
-        fenced_cycles = self.nvm.write_latency_cycles
-        probe = self.fault_probe
-
-        cycles = 0
-        for kind, addr, rec in zip(kinds, addrs, event_records):
-            ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = rec
-            if kind == 0:  # EVENT_FILL: the read path
-                cycles += read_data()
-                data_reads.value += 1
-                # Counter line (clean reference).
-                bucket = sets[ctr_mix & set_mask]
-                line = bucket.get(ctr_key)
-                cycles += md_latency
-                if line is not None:
-                    bucket.move_to_end(ctr_key)
-                    md_hits.value += 1
-                else:
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[ctr_key] = line_cls(ctr_key)
-                    md_fills.value += 1
-                    cycles += fill_miss(ctr_key, read_ctr, victim)
-                # BMT walk: climb until the first cached / trusted node.
-                for node, key, mix in triples:
-                    if trusted is not None and trusted(node, counter_index):
-                        walk_register.value += 1
-                        break
-                    bucket = sets[mix & set_mask]
-                    line = bucket.get(key)
-                    if line is not None:
-                        bucket.move_to_end(key)
-                        md_hits.value += 1
-                        cycles += md_latency
-                        walk_cache.value += 1
-                        break
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[key] = line_cls(key)
-                    md_fills.value += 1
-                    cycles += md_latency + fill_miss(key, read_tree, victim)
-                # HMAC line (clean reference).
-                bucket = sets[hmac_mix & set_mask]
-                line = bucket.get(hkey)
-                cycles += md_latency
-                if line is not None:
-                    bucket.move_to_end(hkey)
-                    md_hits.value += 1
-                else:
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[hkey] = line_cls(hkey)
-                    md_fills.value += 1
-                    cycles += fill_miss(hkey, read_hmac, victim)
-                if read_auth_hook is not None:
-                    cycles += read_auth_hook(counter_index)
-                if functional:
-                    verify_and_decrypt(addr, addr >> block_shift, counter_index)
-            else:  # EVENT_WRITEBACK (posted) / EVENT_PERSIST (fenced)
-                data_writes.value += 1
-                if probe is not None:
-                    probe.begin_group()
-                # Counter line (dirtying reference).
-                bucket = sets[ctr_mix & set_mask]
-                line = bucket.get(ctr_key)
-                cycles += md_latency
-                if line is not None:
-                    line.dirty = True
-                    bucket.move_to_end(ctr_key)
-                    md_hits.value += 1
-                else:
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[ctr_key] = line_cls(ctr_key, True)
-                    md_fills.value += 1
-                    cycles += fill_miss(ctr_key, read_ctr, victim)
-                if functional:
-                    bump_and_store(
-                        addr,
-                        block_base_of(addr),
-                        addr >> block_shift,
-                        counter_index,
-                        None,
-                        path=path,
-                    )
-                # HMAC line (dirtying reference).
-                bucket = sets[hmac_mix & set_mask]
-                line = bucket.get(hkey)
-                cycles += md_latency
-                if line is not None:
-                    line.dirty = True
-                    bucket.move_to_end(hkey)
-                    md_hits.value += 1
-                else:
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[hkey] = line_cls(hkey, True)
-                    md_fills.value += 1
-                    cycles += fill_miss(hkey, read_hmac, victim)
-                if default_extent:
-                    for node, key, mix in triples:
-                        bucket = sets[mix & set_mask]
-                        line = bucket.get(key)
-                        cycles += md_latency
-                        if line is not None:
-                            line.dirty = True
-                            bucket.move_to_end(key)
-                            md_hits.value += 1
-                            continue
-                        md_misses.value += 1
-                        victim = None
-                        if len(bucket) >= assoc:
-                            victim = bucket.popitem(last=False)[1]
-                            md_evictions.value += 1
-                            if victim.dirty:
-                                md_dirty_evictions.value += 1
-                        bucket[key] = line_cls(key, True)
-                        md_fills.value += 1
-                        cycles += fill_miss(key, read_tree, victim)
-                else:
-                    for node in extent_of(counter_index, path):
-                        key = node_key_of(node)
-                        result = md_access(key, True)
-                        cycles += md_latency
-                        if result is not True:
-                            cycles += fill_miss(key, read_tree, result)
-                write_data()
-                if kind == 2:
-                    cycles += fenced_cycles
-                    cycles += on_data_write(
-                        counter_index, addr >> block_shift, path, fenced=True
-                    )
-                else:
-                    cycles += posted_cycles
-                    cycles += on_data_write(
-                        counter_index, addr >> block_shift, path, fenced=False
-                    )
-                if wpq is not None:
-                    wpq.drain()
-                if probe is not None:
-                    probe.commit_group()
-        return cycles
 
     def _reencrypt_page(self, counter_index, old_counter, new_counter) -> None:
         """Minor-counter overflow: re-encrypt every stored block of the

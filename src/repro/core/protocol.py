@@ -114,6 +114,9 @@ class MetadataPersistencePolicy(ABC):
         anchor stop below it: AMNT's in-subtree writes update nothing
         above the subtree-root register (that register *is* the trusted
         summary), and BMF stops below the nearest persistent root.
+
+        The result must be a prefix of ``path`` (the engine updates the
+        first ``len(result)`` nodes of the chain).
         """
         return path
 

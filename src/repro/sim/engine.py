@@ -20,8 +20,12 @@ scheme.
 :func:`simulate` walks one full machine over one trace: it is the
 single-run API and the reference oracle. Sweep cells instead replay a
 compiled boundary stream and metadata plan through
-:func:`simulate_from_plan` (see :mod:`repro.sim.parallel`), with
-bit-identical results.
+:func:`simulate_from_plan` (see :mod:`repro.sim.parallel`). Both end in
+the same MEE kernel — :func:`simulate` through ``read_block`` /
+``write_block``, which resolve each address's datapath record on the
+fly, the replay with the plan's pre-resolved records — so their results
+are bit-identical; ``tests/test_golden.py`` pins both against digests
+recorded independently of that kernel.
 """
 
 from __future__ import annotations
@@ -154,12 +158,12 @@ def simulate_from_plan(
     :class:`~repro.sim.plan.MetadataPlan`; returns the result.
 
     The stream holds the memory traffic :func:`simulate` would have
-    sent to the MEE, in order; the plan pre-resolves every per-event
-    metadata address, cache key, set index, and ancestor path, so the
-    hot loop
+    sent to the MEE, in order, and the plan holds each event's datapath
+    record, so the MEE kernel
     (:meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`)
-    does no address math, no key-memo probes, and no path walks. Only
-    ``machine.mee`` is used (see
+    runs exactly the events :func:`simulate` would run through
+    ``read_block``/``write_block``, with no address math per event.
+    Only ``machine.mee`` is used (see
     :func:`~repro.sim.machine.build_mee_machine`): every data-side
     quantity the result needs was captured at compile time and is
     spliced in here.
@@ -175,16 +179,13 @@ def simulate_from_plan(
     llc_latency = machine.config.llc.access_latency_cycles
 
     kinds = stream.kind
-    addrs = stream.addr
-    event_records = plan.event_records()
     if not flush_llc_at_end:
-        limit = stream.main_events
-        kinds = kinds[:limit]
-        addrs = addrs[:limit]
-        event_records = event_records[:limit]
+        # The replay zips the columns, so cutting ``kinds`` drops the
+        # flush tail from all three.
+        kinds = kinds[: stream.main_events]
 
     cycles = stream.think_total + stream.accesses * llc_latency
-    cycles += mee.replay_plan_events(kinds, addrs, event_records)
+    cycles += mee.replay_plan_events(kinds, stream.addr, plan.records)
 
     os_instructions = stream.os_instructions
     result = SimulationResult(

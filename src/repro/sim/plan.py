@@ -1,34 +1,20 @@
-"""Metadata-plan compilation: resolve per-event metadata addresses once.
+"""Metadata-plan compilation: resolve per-event datapath records once.
 
-PR 5's boundary streams (:mod:`repro.sim.replay`) compile the
+Boundary streams (:mod:`repro.sim.replay`) compile the
 protocol-independent *data side* of a trace once and replay it into
 every protocol. This module applies the same argument one layer down:
 for a fixed trace + geometry, the metadata lines each boundary event
 touches — the counter line, the HMAC line, and the BMT ancestor path —
-are identical for every protocol and every metadata-cache size, yet the
-direct MEE path re-derives them per event per replay (address decode,
-key-memo probes, set-index hashing, ancestor walks).
+are identical for every protocol and every metadata-cache size.
 
 :func:`compile_metadata_plan` walks a compiled
-:class:`~repro.sim.replay.BoundaryStream` exactly once per (trace
-recipe, geometry) and emits a :class:`MetadataPlan`: columnar
-``array('q')`` plan data — per-event counter-line address, HMAC-line
-address, BMT leaf slot, and path ids into a deduplicated node-id pool
-(a flattened, ahead-of-time form of the cross-machine ancestor-path
-memo) — plus the runtime records
-:meth:`repro.core.mee.MemoryEncryptionEngine.replay_plan_events`
-consumes: interned cache-key tuples with premixed set indices and the
-shared ancestor ``(node, key, mix)`` triples.
+:class:`~repro.sim.replay.BoundaryStream`'s addresses once and emits a
+:class:`MetadataPlan`: one datapath record per event, resolved by the
+same :class:`~repro.core.mee.RecordResolver` the MEE's direct
+``read_block``/``write_block`` entries use, so a planned replay runs
+the MEE kernel on exactly the records a direct run would resolve.
 
-Because every key tuple, path list, and mix value is resolved through
-the same process-wide memos the direct path uses
-(:mod:`repro.core.mee`'s key caches, :func:`repro.cache.cache.mix_of`),
-the planned replay performs bit-identical cache transitions and hands
-protocols path data with exactly the direct path's contents — verified
-across the full protocol lineup and both integrity modes by
-``tests/test_plan.py``.
-
-What is *not* planned: fault campaigns keep the full direct path (their
+What is *not* planned: fault campaigns keep the direct entries (their
 crash oracles need live data-cache state and per-access probes, see
 ``repro.faults.campaign.run_fault_cell``), exactly as they bypass
 boundary-stream replay.
@@ -36,272 +22,50 @@ boundary-stream replay.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Optional, Tuple
-
-from repro.cache.cache import mix_of
 from repro.config import SystemConfig
-from repro.core.mee import (
-    MACS_PER_LINE,
-    shared_ancestor_path,
-    shared_counter_key,
-    shared_hmac_key,
-    shared_node_key,
-)
-from repro.integrity.geometry import NodeId, TreeGeometry
+from repro.core.mee import RecordResolver
+from repro.integrity.geometry import TreeGeometry
 from repro.mem.address import AddressSpace
 
 
 class MetadataPlan:
-    """The compiled metadata-access plan of one boundary stream.
+    """The compiled metadata plan of one boundary stream: ``records[i]``
+    is the datapath record of the stream's event ``i`` (flush tail
+    included). Events sharing a (counter line, HMAC line) pair share
+    one record, and records of sibling counters share their ancestor
+    chain; the records live and die with the plan."""
 
-    Columnar like the stream itself. Per-event columns (parallel to the
-    stream's ``kind``/``addr`` columns, flush tail included):
+    __slots__ = ("name", "records")
 
-    * ``record_id`` — index into the deduplicated record table below;
-    * ``counter_line`` — counter-block index (the COUNTERS-region line
-      address) the event's counter access touches;
-    * ``hmac_line`` — HMAC-region line address covering the block;
-    * ``leaf_slot`` — the counter's child slot in its BMT parent
-      (``counter_line % arity``);
-    * ``path_id`` — index into the flattened ancestor-path table.
-
-    The ancestor-path table is ``path_offsets``/``path_nodes``: path
-    ``p`` is ``path_nodes[path_offsets[p]:path_offsets[p+1]]``, each
-    entry an index into ``node_pool`` (the deduplicated ``(level,
-    index)`` node ids, deepest integrity level first — the order every
-    walk in the engine uses).
-
-    The per-record table (``rec_counter``/``rec_hmac``/``rec_path``,
-    one row per distinct (counter line, HMAC line) pair) backs the
-    runtime records: each row resolves once into the interned-key /
-    premixed-set-index tuple the MEE's planned loop consumes per event
-    (see :meth:`records`).
-    """
-
-    __slots__ = (
-        "name",
-        "record_id",
-        "counter_line",
-        "hmac_line",
-        "leaf_slot",
-        "path_id",
-        "rec_counter",
-        "rec_hmac",
-        "rec_path",
-        "path_offsets",
-        "path_nodes",
-        "node_pool",
-        "_paths",
-        "_records",
-        "_event_records",
-    )
-
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, records: list) -> None:
         self.name = name
-        self.record_id = array("q")
-        self.counter_line = array("q")
-        self.hmac_line = array("q")
-        self.leaf_slot = array("q")
-        self.path_id = array("q")
-        self.rec_counter = array("q")
-        self.rec_hmac = array("q")
-        self.rec_path = array("q")
-        self.path_offsets = array("q", [0])
-        self.path_nodes = array("q")
-        self.node_pool: List[NodeId] = []
-        #: path id -> ancestor list. Filled by the compiler straight
-        #: from the process-wide ancestor memo (one shared, read-only
-        #: list per sibling group), so protocols observe ``path``
-        #: arguments with exactly the direct path's contents.
-        self._paths: List[List[NodeId]] = []
-        self._records: Optional[list] = None
-        self._event_records: Optional[list] = None
+        self.records = records
 
     def __len__(self) -> int:
-        return len(self.record_id)
-
-    def num_records(self) -> int:
-        return len(self.rec_counter)
-
-    def num_paths(self) -> int:
-        return len(self.path_offsets) - 1
-
-    def path_node_ids(self, path_id: int) -> array:
-        """Node-pool indices of ancestor path ``path_id`` (deepest
-        integrity level first, root last)."""
-        return self.path_nodes[
-            self.path_offsets[path_id] : self.path_offsets[path_id + 1]
-        ]
-
-    def records(self) -> list:
-        """The resolved per-record runtime tuples (built once, cached).
-
-        Each tuple is ``(ctr_key, ctr_mix, hmac_key, hmac_mix, triples,
-        path, counter_index)``: the interned cache keys with their
-        deterministic set mixes, the ancestor chain as ``(node, key,
-        mix)`` triples, and the shared ancestor-path list — everything
-        :meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`
-        needs without per-event derivation.
-        """
-        records = self._records
-        if records is None:
-            triple_pool = [
-                (node, key, mix_of(key))
-                for node, key in (
-                    (node, shared_node_key(node)) for node in self.node_pool
-                )
-            ]
-            offsets = self.path_offsets
-            path_nodes = self.path_nodes
-            triples_by_path = [
-                tuple(
-                    triple_pool[i]
-                    for i in path_nodes[offsets[pid] : offsets[pid + 1]]
-                )
-                for pid in range(len(offsets) - 1)
-            ]
-            paths = self._paths
-            if not paths:
-                # Rebuilt plan without compiler-attached paths: fall
-                # back to content-equal lists from the node pool.
-                node_pool = self.node_pool
-                paths = [
-                    [node_pool[i] for i in self.path_node_ids(pid)]
-                    for pid in range(self.num_paths())
-                ]
-            records = []
-            for counter, hline, pid in zip(
-                self.rec_counter, self.rec_hmac, self.rec_path
-            ):
-                ctr_key = shared_counter_key(counter)
-                hkey = shared_hmac_key(hline)
-                records.append(
-                    (
-                        ctr_key,
-                        mix_of(ctr_key),
-                        hkey,
-                        mix_of(hkey),
-                        triples_by_path[pid],
-                        paths[pid],
-                        counter,
-                    )
-                )
-            self._records = records
-        return records
-
-    def event_records(self) -> list:
-        """Per-event runtime records (``records()`` fanned out by
-        ``record_id``), built once and cached — the column the planned
-        replay loop zips against the stream's kind/addr columns."""
-        events = self._event_records
-        if events is None:
-            records = self.records()
-            events = [records[i] for i in self.record_id]
-            self._event_records = events
-        return events
-
-    def warm(self) -> None:
-        """Resolve the runtime records now, not on first replay — keeps
-        the cost inside the measured compile phase."""
-        self.event_records()
+        return len(self.records)
 
     def __repr__(self) -> str:
-        return (
-            f"MetadataPlan(name={self.name!r}, events={len(self.record_id)}, "
-            f"records={len(self.rec_counter)}, paths={self.num_paths()})"
-        )
+        return f"MetadataPlan(name={self.name!r}, events={len(self.records)})"
 
 
 def compile_metadata_plan(stream, config: SystemConfig) -> MetadataPlan:
-    """Resolve every metadata address ``stream``'s events will touch.
+    """Resolve the datapath record of every event in ``stream``.
 
-    One pass over the stream's ``addr`` column, flush tail included (a
-    replay slices plan columns exactly as it slices stream columns).
-    Pure address/tree arithmetic — identical to what the direct MEE
-    path derives per event — so the plan depends only on the stream and
-    the metadata geometry (block/page split, capacity, tree arity),
-    never on the metadata-cache shape or the protocol: one plan serves
-    every protocol replay of the stream, and a metadata-cache-only
-    config change shares it (the plan-cache key in
-    :mod:`repro.workloads.registry` encodes exactly that contract).
+    Pure address/tree arithmetic, so the plan depends only on the
+    stream and the metadata geometry (block/page split, capacity, tree
+    arity), never on the metadata-cache shape or the protocol: one plan
+    serves every protocol replay of the stream, and a
+    metadata-cache-only config change shares it (the compiled-pair
+    cache key in :mod:`repro.workloads.registry` encodes exactly that
+    contract).
     """
-    geometry = TreeGeometry.from_config(config)
-    address_space = AddressSpace(
-        config.pcm.capacity_bytes,
-        block_bytes=config.security.block_bytes,
-        page_bytes=config.security.page_bytes,
+    resolver = RecordResolver(
+        TreeGeometry.from_config(config),
+        AddressSpace(
+            config.pcm.capacity_bytes,
+            block_bytes=config.security.block_bytes,
+            page_bytes=config.security.page_bytes,
+        ),
     )
-    block_shift = address_space._block_shift
-    page_shift = address_space._page_shift
-    arity = geometry.arity
-
-    plan = MetadataPlan(stream.name)
-    record_id = plan.record_id
-    counter_col = plan.counter_line
-    hmac_col = plan.hmac_line
-    slot_col = plan.leaf_slot
-    path_col = plan.path_id
-    rec_counter = plan.rec_counter
-    rec_hmac = plan.rec_hmac
-    rec_path = plan.rec_path
-    path_offsets = plan.path_offsets
-    path_nodes = plan.path_nodes
-    node_pool = plan.node_pool
-    paths = plan._paths
-
-    #: (counter, hmac line) -> record id. Keyed by the pair: with small
-    #: pages one HMAC line can span several counter blocks, so neither
-    #: column alone identifies a record.
-    rec_ids: Dict[Tuple[int, int], int] = {}
-    #: deepest ancestor -> path id (sibling counters share one path:
-    #: the chain is a pure function of its deepest node).
-    path_ids: Dict[NodeId, int] = {}
-    node_ids: Dict[NodeId, int] = {}
-    #: counter -> (record id, path id) of the last block seen under it
-    #: — consecutive events overwhelmingly repeat (counter, hmac) pairs,
-    #: so the common case is one narrow probe.
-    by_counter: Dict[int, Tuple[int, int]] = {}
-
-    for addr in stream.addr:
-        block = addr >> block_shift
-        counter = addr >> page_shift
-        hline = block // MACS_PER_LINE
-        cached = by_counter.get(counter)
-        if cached is not None and rec_hmac[cached[0]] == hline:
-            rid, pid = cached
-        else:
-            pair = (counter, hline)
-            rid = rec_ids.get(pair)
-            if rid is None:
-                path = shared_ancestor_path(geometry, counter)
-                head = path[0]
-                pid = path_ids.get(head)
-                if pid is None:
-                    pid = len(path_offsets) - 1
-                    path_ids[head] = pid
-                    paths.append(path)
-                    for node in path:
-                        nid = node_ids.get(node)
-                        if nid is None:
-                            nid = len(node_pool)
-                            node_ids[node] = nid
-                            node_pool.append(node)
-                        path_nodes.append(nid)
-                    path_offsets.append(len(path_nodes))
-                rid = len(rec_counter)
-                rec_ids[pair] = rid
-                rec_counter.append(counter)
-                rec_hmac.append(hline)
-                rec_path.append(pid)
-            else:
-                pid = rec_path[rid]
-            by_counter[counter] = (rid, pid)
-        record_id.append(rid)
-        counter_col.append(counter)
-        hmac_col.append(hline)
-        slot_col.append(counter % arity)
-        path_col.append(pid)
-
-    plan.warm()
-    return plan
+    record = resolver.record
+    return MetadataPlan(stream.name, [record(addr) for addr in stream.addr])

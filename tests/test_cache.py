@@ -103,11 +103,13 @@ class TestInvalidateAndDrop:
         assert len(dropped) == 2
         assert tiny.occupancy() == 0
 
-    def test_flush_all_counts(self, tiny):
+    def test_flush_dirty_counts(self, tiny):
         tiny.insert(0, dirty=True)
-        flushed = tiny.flush_all()
-        assert flushed[0].dirty
+        tiny.insert(1)
+        assert tiny.flush_dirty() == [0]
         assert tiny.stats.get("flushes") == 1
+        assert tiny.occupancy() == 0
+        assert all(not bucket for bucket in tiny._sets)
 
 
 class TestStats:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.config import default_config
 from repro.core.hybrid import HybridLayout, HybridSCMDRAMSystem
+from repro.core.mee import MemoryEncryptionEngine
+from repro.core.protocol import make_protocol
 from repro.errors import AddressError, ConfigError
 from repro.util.units import MB
 
@@ -67,6 +69,17 @@ class TestDatapath:
         dram_root = system.dram.tree.root_register
         system.write_block(scm_addr(layout), data=b"\x02" * 64)
         assert system.dram.tree.root_register == dram_root
+
+
+    def test_fenced_write_reaches_the_partition(self, layout):
+        config = default_config(capacity_bytes=32 * MB)
+        system = HybridSCMDRAMSystem(config, layout)
+        bare = MemoryEncryptionEngine(config, make_protocol("amnt", config))
+        fenced = system.write_block(scm_addr(layout), fenced=True)
+        assert fenced == bare.write_block(0, fenced=True)
+        assert fenced > HybridSCMDRAMSystem(config, layout).write_block(
+            scm_addr(layout)
+        )
 
 
 class TestCrashSemantics:

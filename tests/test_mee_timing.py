@@ -5,7 +5,7 @@ import pytest
 from repro.cache.metadata_cache import counter_key, hmac_key, node_key
 from repro.config import default_config
 from repro.core.mee import MemoryEncryptionEngine
-from repro.core.protocol import make_protocol
+from repro.core.protocol import make_protocol, protocol_names
 from repro.mem.backend import MetadataRegion
 from repro.util.units import MB
 
@@ -114,6 +114,19 @@ class TestPathMemo:
     def test_path_matches_geometry(self, config):
         mee = engine_for(config)
         assert mee.ancestor_path(5) == mee.geometry.ancestors_of_counter(5)
+
+    @pytest.mark.parametrize("name", protocol_names())
+    def test_update_extent_is_a_path_prefix(self, config, name):
+        """The write event updates the first ``len(extent)`` nodes of
+        the chain, so every protocol's extent must be a prefix."""
+        mee = engine_for(config, name)
+        page_bytes = config.security.page_bytes
+        for step in range(600):
+            mee.write_block((step * 37 % 4096) * page_bytes)
+        for counter in range(0, 4096, 97):
+            path = mee.ancestor_path(counter)
+            extent = mee.protocol.path_update_extent(counter, path)
+            assert list(extent) == list(path[: len(extent)])
 
 
 class TestCrash:

@@ -1,13 +1,13 @@
 """Metadata-plan compilation: planned replay == direct simulation.
 
-The plan compiler (repro.sim.plan) resolves every metadata address a
-boundary stream will touch — counter line, HMAC line, BMT ancestor
-path, premixed cache-set indices — once per (trace, geometry). Its
-correctness claim is the same as the replay layer's one level up:
-*bit identity* with the direct path. These tests check that claim
-three ways: full-result equality with the ``simulate()`` oracle across
-the protocol lineup, a randomized-geometry property test that
-recomputes every plan column from first principles, and cache-contract
+The plan compiler (repro.sim.plan) resolves the datapath record of
+every event a boundary stream holds — counter line, HMAC line, BMT
+ancestor path, premixed cache-set indices — once per (trace, geometry),
+with the same resolver the MEE's direct entries use. These tests check
+full-result equality with the ``simulate()`` oracle across the protocol
+lineup, a randomized-geometry property test that checks every plan
+record against the resolver and against first principles, the kernel's
+metadata-cache probe against the reference LRU cache, and cache-contract
 tests (geometry change recompiles; a metadata-cache-only change shares
 the compiled pair).
 """
@@ -16,12 +16,24 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sim.plan as plan_module
 from repro.cache.cache import build_cache, mix_of
 from repro.cache.metadata_cache import counter_key, hmac_key, node_key
-from repro.config import default_config
-from repro.core.mee import MACS_PER_LINE, MetadataRegion
-from repro.core.protocol import protocol_names, protocol_uses_modified_os
+from repro.config import MetadataCacheConfig, default_config
+from repro.core.mee import (
+    MACS_PER_LINE,
+    MemoryEncryptionEngine,
+    MetadataRegion,
+    RecordResolver,
+)
+from repro.core.protocol import (
+    make_protocol,
+    protocol_names,
+    protocol_uses_modified_os,
+)
 from repro.integrity.geometry import TreeGeometry
 from repro.mem.address import AddressSpace
 from repro.bench.perf import direct_cell
@@ -139,13 +151,13 @@ def _random_geometry_config(rng):
 
 
 class TestPlanContentsProperty:
-    """The property test: every plan column must equal the value
-    recomputed on the fly from the stream's addresses and the tree
-    geometry — across randomized line sizes, arities, counter ratios,
-    and footprints."""
+    """The property test: every plan record must be the very record the
+    resolver holds for its address, and its contents must equal the
+    values recomputed from the address and the tree geometry — across
+    randomized line sizes, arities, counter ratios, and footprints."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_plan_columns_match_recomputation(self, seed):
+    def test_plan_columns_match_recomputation(self, seed, monkeypatch):
         rng = random.Random(seed)
         config = _random_geometry_config(rng)
         accesses = rng.choice([300, 700, 1200])
@@ -153,7 +165,19 @@ class TestPlanContentsProperty:
             profile_spec("parsec", "bodytrack", accesses, seed)
         )
         stream = compile_boundary_stream(trace, config, seed=seed)
+
+        resolvers = []
+
+        class CapturingResolver(RecordResolver):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                resolvers.append(self)
+
+        monkeypatch.setattr(plan_module, "RecordResolver", CapturingResolver)
         plan = compile_metadata_plan(stream, config)
+        (resolver,) = resolvers
 
         geometry = TreeGeometry.from_config(config)
         space = AddressSpace(
@@ -163,25 +187,16 @@ class TestPlanContentsProperty:
         )
         block_shift = space._block_shift
         page_shift = space._page_shift
-        arity = geometry.arity
 
         assert len(plan) == len(stream.addr)
-        records = plan.event_records()
-        for i, addr in enumerate(stream.addr):
+        for addr, record in zip(stream.addr, plan.records):
+            assert record is resolver.record(addr)
             counter = addr >> page_shift
             hline = (addr >> block_shift) // MACS_PER_LINE
-            assert plan.counter_line[i] == counter
-            assert plan.hmac_line[i] == hline
-            assert plan.leaf_slot[i] == counter % arity
-            expected_path = geometry.ancestors_of_counter(counter)
-            pool = plan.node_pool
-            planned_path = [
-                pool[n] for n in plan.path_node_ids(plan.path_id[i])
-            ]
-            assert planned_path == expected_path
             ctr_key, ctr_mix, hkey, hmac_mix, triples, path, rec_counter = (
-                records[i]
+                record
             )
+            expected_path = geometry.ancestors_of_counter(counter)
             assert rec_counter == counter
             assert ctr_key == counter_key(counter)
             assert ctr_mix == mix_of(ctr_key)
@@ -197,43 +212,90 @@ class TestPlanContentsProperty:
         trace = materialize_trace(profile_spec("parsec", "canneal", 2000, 7))
         stream = compile_boundary_stream(trace, small_config, seed=7)
         plan = compile_metadata_plan(stream, small_config)
-        records = plan.records()
         by_head = {}
-        for rec in records:
-            path = rec[5]
+        for record in plan.records:
+            triples, path = record[4], record[5]
             head = path[0]
             if head in by_head:
-                assert by_head[head] is path
+                assert by_head[head][0] is path
+                assert by_head[head][1] is triples
             else:
-                by_head[head] = path
+                by_head[head] = (path, triples)
+        assert len(by_head) < len({record[6] for record in plan.records})
 
 
-class TestPremixedAccess:
-    """access_line_premixed(key, mix_of(key)) must be a bit-identical
-    drop-in for access_line on a default-placement cache."""
+class TestKernelProbe:
+    """The MEE kernel's metadata-cache probe must follow the reference
+    LRU semantics of :meth:`SetAssociativeCache.lookup` /
+    :meth:`~SetAssociativeCache.insert`: same hits, fills, victims,
+    dirty bits and per-set LRU order, on random read/write sequences."""
 
-    def test_premixed_matches_access_line(self):
-        rng = random.Random(11)
-        keys = [counter_key(i) for i in range(64)] + [
-            node_key(level, i) for level in (1, 2, 3) for i in range(16)
-        ]
-        sequence = [
-            (rng.choice(keys), rng.random() < 0.3) for _ in range(4000)
-        ]
-        plain = build_cache(4096, 64, 4, name="plain")
-        premixed = build_cache(4096, 64, 4, name="premixed")
-        for key, dirty in sequence:
-            expected = plain.access_line(key, dirty)
-            actual = premixed.access_line_premixed(key, mix_of(key), dirty)
-            if expected is True or expected is None:
-                assert actual == expected
+    @settings(max_examples=60, deadline=None)
+    @given(
+        associativity=st.sampled_from([1, 2, 4]),
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 511), st.integers(0, 63), st.booleans()
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    def test_probe_matches_lookup_insert(self, associativity, events):
+        base = default_config(capacity_bytes=64 * MB)
+        config = replace(
+            base,
+            metadata_cache=MetadataCacheConfig(
+                capacity_bytes=1024, associativity=associativity
+            ),
+        )
+        mee = MemoryEncryptionEngine(config, make_protocol("volatile", config))
+        md = config.metadata_cache
+        model = build_cache(
+            md.capacity_bytes, md.line_bytes, md.associativity, name="mdcache"
+        )
+        writebacks = 0
+
+        def reference(key, dirty):
+            nonlocal writebacks
+            if model.lookup(key):
+                if dirty:
+                    model.mark_dirty(key)
+                return True
+            victim = model.insert(key, dirty)
+            if victim is not None and victim.dirty:
+                writebacks += 1
+            return False
+
+        page_bytes = config.security.page_bytes
+        block_bytes = config.security.block_bytes
+        for page, block, is_write in events:
+            paddr = page * page_bytes + block * block_bytes
+            hline = (paddr // block_bytes) // MACS_PER_LINE
+            path = mee.geometry.ancestors_of_counter(page)
+            if is_write:
+                mee.write_block(paddr)
+                reference(counter_key(page), True)
+                reference(hmac_key(hline), True)
+                for node in path:
+                    reference(node_key(*node), True)
             else:
-                assert (actual.key, actual.dirty) == (
-                    expected.key,
-                    expected.dirty,
-                )
-        for stat in ("hits", "misses", "fills", "evictions", "dirty_evictions"):
-            assert plain.stats.get(stat) == premixed.stats.get(stat)
+                mee.read_block(paddr)
+                reference(counter_key(page), False)
+                for node in path:
+                    if reference(node_key(*node), False):
+                        break
+                reference(hmac_key(hline), False)
+
+        def contents(cache):
+            return [
+                [(line.key, line.dirty) for line in bucket.values()]
+                for bucket in cache._sets
+            ]
+
+        assert contents(mee.mdcache._cache) == contents(model)
+        assert mee.mdcache.stats.snapshot() == model.stats.snapshot()
+        assert mee.stats.get("metadata_writebacks") == writebacks
 
 
 class TestPlanCache:

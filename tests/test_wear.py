@@ -7,7 +7,10 @@ from repro.core.mee import MemoryEncryptionEngine
 from repro.core.protocol import make_protocol
 from repro.mem.backend import MetadataRegion
 from repro.mem.wear import WearTracker, attach_wear_tracking
+from repro.sim.engine import simulate
+from repro.sim.machine import build_machine
 from repro.util.units import MB
+from repro.workloads.storage import generate_storage_trace, storage_profile
 
 
 @pytest.fixture
@@ -104,4 +107,30 @@ class TestProtocolWearProfiles:
         total = mee.nvm.stats.get("writes.total")
         assert report.write_amplification() == pytest.approx(
             (total - data) / data
+        )
+
+
+class TestFencedWrites:
+    """The wrapper must forward ``fenced``: ``simulate()`` passes it on
+    every flush-tagged store."""
+
+    def test_wrapper_forwards_fenced(self, config):
+        plain = MemoryEncryptionEngine(config, make_protocol("leaf", config))
+        mee, tracker = tracked_engine(config, "leaf")
+        assert mee.write_block(0, fenced=True) == plain.write_block(
+            0, fenced=True
+        )
+        assert tracker.report().writes_by_region["data"] == 1
+
+    def test_simulate_flush_tagged_trace_with_tracking(self, config):
+        trace = generate_storage_trace(
+            storage_profile("kvstore"), seed=3, accesses=2000
+        )
+        expected = simulate(build_machine(config, "leaf", seed=3), trace, seed=3)
+        machine = build_machine(config, "leaf", seed=3)
+        tracker = attach_wear_tracking(machine.mee)
+        assert simulate(machine, trace, seed=3) == expected
+        assert (
+            tracker.report().writes_by_region["data"]
+            == expected.nvm_stats["nvm.writes.data"]
         )
