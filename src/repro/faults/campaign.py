@@ -192,9 +192,10 @@ def run_fault_cell(
     # oracle, so the hardware-faithful update discipline is not
     # negotiable even though lazy materialization is equivalence-tested.
     # Boundary-stream replay (repro.sim.replay) is likewise bypassed:
-    # a crash ordinal counts *accesses*, not boundary events, and the
-    # injector must observe the live LLC/OS state at the crash point,
-    # so every fault cell keeps the full direct simulate() path.
+    # the cell drives the MEE directly with drive_memory_boundary (no
+    # LLC), because a crash ordinal counts trace *accesses*, not
+    # boundary events, and every write must carry a payload for the
+    # golden shadow copy the oracle audits against.
     machine = build_machine(
         cell_config,
         spec.protocol,

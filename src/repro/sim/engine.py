@@ -1,14 +1,13 @@
-"""The trace-driven simulation loop.
+"""The trace-driven simulation loop: walk the data side, then replay.
 
-For each reference in the trace: translate (demand paging), probe the
-LLC, and send the resulting *memory traffic* — fills and dirty
-writebacks — through the memory encryption engine, accumulating cycles.
-Secure-memory work therefore only happens where it happens in hardware:
-at the memory boundary.
-
-Periodic page churn emulates unrelated system activity so the OS
-reclamation path (where AMNT++ restructures free lists) actually runs
-during measurement, as it would on a live machine.
+A run has two halves. The walk (:mod:`repro.sim.replay`) takes each
+reference through translation (demand paging), the LLC and periodic
+page churn, and records the *memory traffic* — fills, dirty writebacks
+and CLWB+fence persists — as a :class:`~repro.sim.replay.BoundaryStream`.
+The replay sends that stream through the memory encryption engine.
+Secure-memory work therefore only happens where it happens in
+hardware: at the memory boundary. No data-side structure reads MEE
+state, so splitting the halves changes no result.
 
 Cycle accounting is deliberately simple and serial — think cycles plus
 LLC latency plus every NVM access at full latency. Absolute cycle
@@ -17,15 +16,13 @@ reported figure is normalized to the volatile baseline run on the same
 trace, exactly as the paper normalizes to the volatile secure-memory
 scheme.
 
-:func:`simulate` walks one full machine over one trace: it is the
-single-run API and the reference oracle. Sweep cells instead replay a
-compiled boundary stream and metadata plan through
-:func:`simulate_from_plan` (see :mod:`repro.sim.parallel`). Both end in
-the same MEE kernel — :func:`simulate` through ``read_block`` /
-``write_block``, which resolve each address's datapath record on the
-fly, the replay with the plan's pre-resolved records — so their results
-are bit-identical; ``tests/test_golden.py`` pins both against digests
-recorded independently of that kernel.
+:func:`simulate` (the single-run API) and
+:func:`repro.sim.multicore.simulate_multicore` replay their own walk
+through the engine's bound ``read_block``/``write_block``
+(:func:`replay_boundary_stream`); :func:`simulate_from_plan` (every
+sweep cell) replays a cached stream with its metadata plan. All three
+end in the same per-event MEE kernel and :func:`assemble_result`;
+``tests/test_golden.py`` pins them against recorded digests.
 """
 
 from __future__ import annotations
@@ -35,158 +32,42 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import PowerFailure, SimulationError
 from repro.sim.machine import Machine
+from repro.sim.replay import (
+    EVENT_FILL,
+    EVENT_PERSIST,
+    BoundaryStream,
+    trace_columns,
+    walk_data_side,
+)
 from repro.sim.results import SimulationResult
 from repro.telemetry import record_simulation
 from repro.util.rng import Seed, make_rng
-from repro.workloads.trace import ColumnarAccesses, Trace
+from repro.workloads.trace import Trace
 
 
-def _trace_columns(trace: Trace):
-    """The trace's raw (vaddr, pid, think, flags) columns.
+def replay_boundary_stream(mee, stream: BoundaryStream) -> int:
+    """Send every event of ``stream`` through ``mee``; returns cycles.
 
-    Falls back to building columns on the fly for a trace whose
-    ``accesses`` was replaced with a plain record list.
+    Fills go to ``mee.read_block``, writebacks and persists to
+    ``mee.write_block`` (persists fenced). The entries are looked up on
+    ``mee`` when the replay starts, so a wrapper installed before the
+    run (wear tracking, a hybrid facade) sees every event.
     """
-    accesses = trace.accesses
-    if not isinstance(accesses, ColumnarAccesses):
-        accesses = ColumnarAccesses(accesses)
-    return accesses.columns()
-
-#: Modeled kernel instructions per demand-paging fault (trap, allocator
-#: call, page-table update). Only Table 2's instruction ratios consume
-#: this; it is deliberately round.
-INSTRUCTIONS_PER_PAGE_FAULT = 500
-
-
-def simulate(
-    machine: Machine,
-    trace: Trace,
-    seed: Seed = 0,
-    churn_interval: int = 16384,
-    churn_bursts: int = 2,
-    churn_pages_per_burst: int = 32,
-    flush_llc_at_end: bool = False,
-) -> SimulationResult:
-    """Run ``trace`` to completion on ``machine``; returns the result."""
-    rng = make_rng(f"{seed}/engine/{trace.name}")
-    mee = machine.mee
-    llc = machine.llc
-    mm = machine.mm
-    block_bytes = machine.config.security.block_bytes
-    llc_latency = machine.config.llc.access_latency_cycles
-
-    # The loop below runs once per trace record — hoist every bound
-    # method and attribute it touches so the interpreter does the
-    # lookups once instead of hundreds of thousands of times.
-    translate = mm.translate
-    llc_access = llc.access
-    llc_flush_block = llc.flush_block
     read_block = mee.read_block
     write_block = mee.write_block
-    churn = mm.churn
-
-    # The loop iterates the trace's raw columns: four machine integers
-    # per record via zip, no per-record object or attribute lookups.
-    # Flags pack is_write in bit 0 and flush in bit 1.
-    vaddrs, pids, thinks, flag_col = _trace_columns(trace)
-
     cycles = 0
-    app_instructions = 0
-    position = 0
-    for vaddr, pid, think, flags in zip(vaddrs, pids, thinks, flag_col):
-        position += 1
-        is_write = flags & 1
-        paddr = translate(pid, vaddr)
-        traffic = llc_access(paddr, is_write)
-        cycles += think + llc_latency
-        app_instructions += think + 1
-        if traffic.fill_block is not None:
-            cycles += read_block(traffic.fill_block * block_bytes)
-        for victim_block in traffic.writeback_blocks:
-            cycles += write_block(victim_block * block_bytes)
-        if is_write and flags & 2:
-            # CLWB + fence: the store is pushed to memory now, and the
-            # core waits for the (protocol-dependent) persist to finish
-            # — the path in-memory storage applications live on.
-            flushed_block = llc_flush_block(paddr)
-            if flushed_block is not None:
-                cycles += write_block(
-                    flushed_block * block_bytes, fenced=True
-                )
-        if churn_interval and position % churn_interval == 0:
-            churn(
-                rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
-            )
-    if flush_llc_at_end:
-        for victim_block in llc.flush():
-            cycles += mee.write_block(victim_block * block_bytes)
-
-    os_instructions = (
-        mm.allocator.instructions()
-        + mm.stats.get("page_faults") * INSTRUCTIONS_PER_PAGE_FAULT
-    )
-    result = SimulationResult(
-        workload=trace.name,
-        protocol=mee.protocol.display_name,
-        cycles=cycles,
-        accesses=len(trace),
-        llc_hit_rate=llc.hit_rate(),
-        mdcache_hit_rate=mee.mdcache.hit_rate(),
-        instructions=app_instructions + os_instructions,
-        os_instructions=os_instructions,
-        page_faults=mm.stats.get("page_faults"),
-        nvm_stats=mee.nvm.stats.snapshot(),
-        protocol_stats=mee.protocol.stats.snapshot(),
-        mee_stats=mee.stats.snapshot(),
-    )
-    record_simulation(
-        result, mee, llc.stats.get("hits"), llc.stats.get("misses")
-    )
-    return result
+    for kind, addr in zip(stream.kind, stream.addr):
+        if kind == EVENT_FILL:
+            cycles += read_block(addr)
+        else:
+            cycles += write_block(addr, fenced=kind == EVENT_PERSIST)
+    return cycles
 
 
-# ----------------------------------------------------------------------
-# compiled replay (every sweep cell)
-# ----------------------------------------------------------------------
-
-
-def simulate_from_plan(
-    stream, plan, machine: Machine, flush_llc_at_end: bool = False
-) -> SimulationResult:
-    """Drive ``machine``'s MEE/protocol layer from a compiled
-    :class:`~repro.sim.replay.BoundaryStream` and its
-    :class:`~repro.sim.plan.MetadataPlan`; returns the result.
-
-    The stream holds the memory traffic :func:`simulate` would have
-    sent to the MEE, in order, and the plan holds each event's datapath
-    record, so the MEE kernel
-    (:meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`)
-    runs exactly the events :func:`simulate` would run through
-    ``read_block``/``write_block``, with no address math per event.
-    Only ``machine.mee`` is used (see
-    :func:`~repro.sim.machine.build_mee_machine`): every data-side
-    quantity the result needs was captured at compile time and is
-    spliced in here.
-
-    Bit-identical to :func:`simulate` run on the trace the stream was
-    compiled from, provided the stream's data-side parameters (config
-    geometry, seed, churn, OS variant) match the machine's — the cache
-    key in :mod:`repro.workloads.registry` encodes exactly that
-    contract, and ``tests/test_replay.py`` checks it across the
-    protocol lineup and both integrity modes.
-    """
-    mee = machine.mee
-    llc_latency = machine.config.llc.access_latency_cycles
-
-    kinds = stream.kind
-    if not flush_llc_at_end:
-        # The replay zips the columns, so cutting ``kinds`` drops the
-        # flush tail from all three.
-        kinds = kinds[: stream.main_events]
-
-    cycles = stream.think_total + stream.accesses * llc_latency
-    cycles += mee.replay_plan_events(kinds, stream.addr, plan.records)
-
+def assemble_result(stream: BoundaryStream, mee, cycles: int) -> SimulationResult:
+    """The result of a run that replayed ``stream`` into ``mee`` in
+    ``cycles``: data-side figures from the stream, the rest from the
+    engine's statistics. Also folds the run into telemetry."""
     os_instructions = stream.os_instructions
     result = SimulationResult(
         workload=stream.name,
@@ -204,6 +85,65 @@ def simulate_from_plan(
     )
     record_simulation(result, mee, stream.llc_hits, stream.llc_misses)
     return result
+
+
+def simulate(
+    machine: Machine,
+    trace: Trace,
+    seed: Seed = 0,
+    churn_interval: int = 16384,
+    churn_bursts: int = 2,
+    churn_pages_per_burst: int = 32,
+    flush_llc_at_end: bool = False,
+) -> SimulationResult:
+    """Run ``trace`` to completion on ``machine``; returns the result.
+
+    Walks ``machine.llc``/``machine.mm`` into a boundary stream, then
+    replays it through ``machine.mee``. ``flush_llc_at_end`` writes the
+    LLC's dirty lines back after the last access, as part of the run.
+    """
+    stream = walk_data_side(
+        trace, machine.llc, machine.mm, machine.config.security.block_bytes,
+        seed, churn_interval, churn_bursts, churn_pages_per_burst,
+        flush_tail=flush_llc_at_end,
+    )
+    mee = machine.mee
+    llc_latency = machine.config.llc.access_latency_cycles
+    cycles = stream.think_total + stream.accesses * llc_latency
+    cycles += replay_boundary_stream(mee, stream)
+    return assemble_result(stream, mee, cycles)
+
+
+# ----------------------------------------------------------------------
+# compiled replay (every sweep cell)
+# ----------------------------------------------------------------------
+
+
+def simulate_from_plan(
+    stream, plan, machine: Machine, flush_llc_at_end: bool = False
+) -> SimulationResult:
+    """Replay a compiled :class:`~repro.sim.replay.BoundaryStream` into
+    ``machine.mee`` with its :class:`~repro.sim.plan.MetadataPlan`
+    (each event's pre-resolved datapath record); returns the result.
+
+    Only ``machine.mee`` is used (see
+    :func:`~repro.sim.machine.build_mee_machine`). Bit-identical to
+    :func:`simulate` on the trace the stream was compiled from, provided
+    the stream's data-side parameters (config geometry, seed, churn, OS
+    variant) match — the cache key in :mod:`repro.workloads.registry`
+    encodes that contract.
+    """
+    mee = machine.mee
+    llc_latency = machine.config.llc.access_latency_cycles
+
+    kinds = stream.kind
+    if not flush_llc_at_end:
+        # The kernel zips the columns: cutting ``kinds`` drops the tail.
+        kinds = kinds[: stream.main_events]
+
+    cycles = stream.think_total + stream.accesses * llc_latency
+    cycles += mee.replay_plan_events(kinds, stream.addr, plan.records)
+    return assemble_result(stream, mee, cycles)
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +221,7 @@ def drive_memory_boundary(
     write_block = mee.write_block
     churn = mm.churn
 
-    vaddrs, pids, thinks, flag_col = _trace_columns(trace)
+    vaddrs, pids, thinks, flag_col = trace_columns(trace)
     position = 0
     pending: Optional[Tuple[int, Optional[bytes], bytes]] = None
     try:

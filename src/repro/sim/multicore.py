@@ -10,11 +10,14 @@ per-core traffic attribution — this module adds that layer explicitly.
 :class:`PrivateCacheLayer` holds one write-back, write-allocate cache
 per pid. A reference first probes its pid's private cache; private
 misses fill from the shared LLC, and private dirty victims write *into*
-the shared LLC (marking the line dirty there), so data still reaches
-memory only via shared-LLC evictions — the same place the MEE sits.
+the shared LLC (marking the line dirty there), so data reaches memory
+only via shared-LLC evictions and CLWB+fence persists — the same place
+the MEE sits.
 
-Use :func:`simulate_multicore`, a drop-in alternative to
-:func:`repro.sim.engine.simulate`.
+:func:`compile_multicore_stream` walks a trace through those caches
+into a :class:`~repro.sim.replay.BoundaryStream`;
+:func:`simulate_multicore` replays it exactly as
+:func:`repro.sim.engine.simulate` replays the one-level walk.
 """
 
 from __future__ import annotations
@@ -24,8 +27,15 @@ from typing import Dict, List, Optional
 from repro.cache.cache import build_cache
 from repro.config import DataCacheConfig
 from repro.mem.address import AddressSpace
-from repro.sim.engine import INSTRUCTIONS_PER_PAGE_FAULT
+from repro.sim.engine import assemble_result, replay_boundary_stream
 from repro.sim.machine import Machine
+from repro.sim.replay import (
+    EVENT_FILL,
+    EVENT_PERSIST,
+    EVENT_WRITEBACK,
+    BoundaryStream,
+    trace_columns,
+)
 from repro.sim.results import SimulationResult
 from repro.util.rng import Seed, make_rng
 from repro.workloads.trace import Trace
@@ -73,11 +83,92 @@ class PrivateCacheLayer:
         victims = (victim.key,) if victim is not None and victim.dirty else ()
         return False, block, victims
 
+    def flush_block(self, pid: int, paddr: int) -> Optional[int]:
+        """CLWB-style flush of one line in the core's private cache;
+        returns the block if it was dirty (it is now clean)."""
+        cache = self._cache_for(pid)
+        block = self.address_space.block_index(paddr)
+        if cache.is_dirty(block):
+            cache.clean(block)
+            return block
+        return None
+
     def hit_rate(self, pid: int) -> float:
         return self._cache_for(pid).hit_rate()
 
+    def misses(self) -> int:
+        """Private misses over all cores: the references that reached
+        the shared level."""
+        caches = self._caches.values()
+        return sum(cache.stats.get("misses") for cache in caches)
+
     def cores(self) -> List[int]:
         return sorted(self._caches)
+
+
+def compile_multicore_stream(
+    trace: Trace,
+    llc,
+    mm,
+    private: PrivateCacheLayer,
+    block_bytes: int,
+    seed: Seed = 0,
+    churn_interval: int = 16384,
+) -> BoundaryStream:
+    """The multicore counterpart of
+    :func:`repro.sim.replay.walk_data_side`: walk ``trace`` through
+    ``private``, the shared LLC and ``mm``; return its boundary stream.
+
+    On a private miss, the dirty private victims are written into the
+    LLC, then the block is read from it; each LLC probe records its
+    fill and dirty victims. A flush-tagged write (CLWB + fence) cleans
+    the line at both levels and records a persist if either held it
+    dirty. ``mm`` churns every ``churn_interval`` accesses, hit or miss.
+    """
+    rng = make_rng(f"{seed}/mc-engine/{trace.name}")
+    stream = BoundaryStream(trace.name)
+    kind_append = stream.kind.append
+    addr_append = stream.addr.append
+    translate = mm.translate
+    private_access = private.access
+    private_flush_block = private.flush_block
+    llc_access = llc.access
+    llc_flush_block = llc.flush_block
+    churn = mm.churn
+
+    vaddrs, pids, thinks, flag_col = trace_columns(trace)
+    position = 0
+    for vaddr, pid, flags in zip(vaddrs, pids, flag_col):
+        position += 1
+        is_write = flags & 1
+        paddr = translate(pid, vaddr)
+        hit, fill_block, victims = private_access(pid, paddr, is_write)
+        if not hit:
+            requests = [(victim, True) for victim in victims]
+            requests.append((fill_block, False))
+            for block, dirty in requests:
+                traffic = llc_access(block * block_bytes, dirty)
+                if traffic.fill_block is not None:
+                    kind_append(EVENT_FILL)
+                    addr_append(traffic.fill_block * block_bytes)
+                for evicted in traffic.writeback_blocks:
+                    kind_append(EVENT_WRITEBACK)
+                    addr_append(evicted * block_bytes)
+        if is_write and flags & 2:
+            # CLWB + fence cleans the line at both levels; it reaches
+            # memory if either level held it dirty.
+            private_block = private_flush_block(pid, paddr)
+            llc_block = llc_flush_block(paddr)
+            flushed = llc_block if private_block is None else private_block
+            if flushed is not None:
+                kind_append(EVENT_PERSIST)
+                addr_append(flushed * block_bytes)
+        if churn_interval and position % churn_interval == 0:
+            churn(rng)
+
+    stream.main_events = len(stream)
+    stream.close(position, thinks, llc, mm)
+    return stream
 
 
 def simulate_multicore(
@@ -89,9 +180,10 @@ def simulate_multicore(
 ) -> SimulationResult:
     """Run ``trace`` with per-core private caches beneath the LLC.
 
-    The shared LLC and MEE come from ``machine``; private caches use
-    ``private_config`` (default: the paper's 128 kB multiprogram L2
-    with a 12-cycle latency).
+    The shared LLC, memory manager and MEE come from ``machine``;
+    private caches use ``private_config`` (default: the paper's 128 kB
+    multiprogram L2 with a 12-cycle latency). Every access pays the
+    private latency, and every private miss the LLC latency too.
     """
     if private_config is None:
         private_config = DataCacheConfig(
@@ -99,57 +191,16 @@ def simulate_multicore(
             associativity=8,
             access_latency_cycles=12,
         )
-    rng = make_rng(f"{seed}/mc-engine/{trace.name}")
     mee = machine.mee
-    llc = machine.llc
-    mm = machine.mm
-    block_bytes = machine.config.security.block_bytes
-    llc_latency = machine.config.llc.access_latency_cycles
     private = PrivateCacheLayer(private_config, mee.address_space)
-
-    cycles = 0
-    app_instructions = 0
-    for position, access in enumerate(trace):
-        paddr = mm.translate(access.pid, access.vaddr)
-        cycles += access.think_cycles + private_config.access_latency_cycles
-        app_instructions += access.think_cycles + 1
-        hit, fill_block, victims = private.access(
-            access.pid, paddr, access.is_write
-        )
-        if hit:
-            continue
-        cycles += llc_latency
-        # Private dirty victims land in the shared LLC as dirty lines.
-        for victim_block in victims:
-            victim_traffic = llc.access(victim_block * block_bytes, True)
-            if victim_traffic.fill_block is not None:
-                cycles += mee.read_block(victim_traffic.fill_block * block_bytes)
-            for evicted in victim_traffic.writeback_blocks:
-                cycles += mee.write_block(evicted * block_bytes)
-        # The demand fill itself (reads are clean at the shared level).
-        traffic = llc.access(fill_block * block_bytes, False)
-        if traffic.fill_block is not None:
-            cycles += mee.read_block(traffic.fill_block * block_bytes)
-        for evicted in traffic.writeback_blocks:
-            cycles += mee.write_block(evicted * block_bytes)
-        if churn_interval and (position + 1) % churn_interval == 0:
-            mm.churn(rng)
-
-    os_instructions = (
-        mm.allocator.instructions()
-        + mm.stats.get("page_faults") * INSTRUCTIONS_PER_PAGE_FAULT
+    stream = compile_multicore_stream(
+        trace, machine.llc, machine.mm, private,
+        machine.config.security.block_bytes, seed, churn_interval,
     )
-    return SimulationResult(
-        workload=trace.name,
-        protocol=mee.protocol.display_name,
-        cycles=cycles,
-        accesses=len(trace),
-        llc_hit_rate=llc.hit_rate(),
-        mdcache_hit_rate=mee.mdcache.hit_rate(),
-        instructions=app_instructions + os_instructions,
-        os_instructions=os_instructions,
-        page_faults=mm.stats.get("page_faults"),
-        nvm_stats=mee.nvm.stats.snapshot(),
-        protocol_stats=mee.protocol.stats.snapshot(),
-        mee_stats=mee.stats.snapshot(),
+    cycles = (
+        stream.think_total
+        + stream.accesses * private_config.access_latency_cycles
+        + private.misses() * machine.config.llc.access_latency_cycles
     )
+    cycles += replay_boundary_stream(mee, stream)
+    return assemble_result(stream, mee, cycles)

@@ -14,10 +14,9 @@ same :class:`~repro.core.mee.RecordResolver` the MEE's direct
 ``read_block``/``write_block`` entries use, so a planned replay runs
 the MEE kernel on exactly the records a direct run would resolve.
 
-What is *not* planned: fault campaigns keep the direct entries (their
-crash oracles need live data-cache state and per-access probes, see
-``repro.faults.campaign.run_fault_cell``), exactly as they bypass
-boundary-stream replay.
+What is *not* planned: fault campaigns keep the direct entries
+(:func:`repro.sim.engine.drive_memory_boundary`), for the reasons they
+bypass boundary streams (see :mod:`repro.sim.replay`).
 """
 
 from __future__ import annotations

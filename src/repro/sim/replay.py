@@ -1,43 +1,43 @@
-"""Boundary-event compilation: simulate the data side once, replay it.
+"""Boundary-event compilation: walk the data side once, replay it.
 
 Every protocol in the paper's lineup consumes the same input — the
 *memory traffic* that crosses the LLC boundary (fills, dirty victim
 writebacks, and explicit CLWB+fence persists). The data-side hierarchy
-that produces that traffic (address translation, demand paging, the
-LLC, page churn) is completely protocol-independent for a fixed OS
-variant, yet a naive sweep re-walks it once per cell: an 18-cell grid
-(3 benchmarks x 6 protocols) runs the identical L1/LLC simulation 18
-times instead of 3.
+that produces it (address translation, demand paging, the LLC, page
+churn) is protocol-independent for a fixed OS variant.
 
-:func:`compile_boundary_stream` runs that hierarchy exactly once per
-(trace, data-side geometry) and emits a :class:`BoundaryStream` — a
-columnar, ``array``-backed record of every boundary event in program
-order plus the data-side half of the eventual
-:class:`~repro.sim.results.SimulationResult` (LLC hit counters, page
-faults, OS instruction charges, think-cycle totals).
-:func:`repro.sim.engine.simulate_from_plan` then drives any machine's
-MEE/protocol layer straight from the compiled events (with the
-stream's metadata plan, :mod:`repro.sim.plan`). Because the
-events are byte-for-byte the calls ``simulate()`` would have issued,
-the replayed result is bit-identical to the direct one by construction
-— and verified across the full protocol lineup and both integrity
-modes by ``tests/test_replay.py``.
+:func:`walk_data_side` is the one data-side loop: it walks a trace
+through an already-built LLC and memory manager and emits a columnar
+:class:`BoundaryStream` of every boundary event in program order, plus
+the data-side half of the eventual
+:class:`~repro.sim.results.SimulationResult`. ``simulate()`` walks its
+machine's own data side; :func:`compile_boundary_stream` walks a fresh
+one, so an 18-cell sweep (3 benchmarks x 6 protocols) walks 3 times
+and replays each cached stream into every protocol's MEE
+(``tests/test_replay.py`` checks replay against ``simulate()``).
+:func:`repro.sim.multicore.compile_multicore_stream` is a second
+compiler with private per-core caches in front of the LLC.
 
-What is *not* compiled away: fault campaigns keep the full direct path
-(their crash oracles need live data-cache state, see
-``repro.faults.campaign.run_fault_cell``), and the modified-OS variant
-(``amnt++``) gets its own stream — physical placement differs under
-the AMNT++ allocator, which is the experiment.
+Fault campaigns do not use streams: they drive the MEE directly
+(:func:`repro.sim.engine.drive_memory_boundary`, no LLC), because their
+crash ordinals count trace accesses, not boundary events, and their
+writes carry payloads for the golden shadow copy. The modified-OS
+variant (``amnt++``) gets its own stream — physical placement differs
+under the AMNT++ allocator, which is the experiment.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Tuple
 
 from repro.config import SystemConfig
 from repro.util.rng import Seed, make_rng
-from repro.workloads.trace import Trace
+from repro.workloads.trace import ColumnarAccesses, Trace
+
+#: Modeled kernel instructions per demand-paging fault (trap, allocator
+#: call, page-table update). Only Table 2's instruction ratios consume
+#: this; it is deliberately round.
+INSTRUCTIONS_PER_PAGE_FAULT = 500
 
 #: Boundary-event kinds stored in :attr:`BoundaryStream.kind`.
 EVENT_FILL = 0  #: LLC miss: read the block through the MEE.
@@ -46,28 +46,23 @@ EVENT_PERSIST = 2  #: CLWB + fence: fenced write on the critical path.
 
 
 class BoundaryStream:
-    """The compiled memory-boundary trace of one data-side simulation.
+    """The memory-boundary trace of one data-side walk.
 
     Columnar like :class:`~repro.workloads.trace.ColumnarAccesses`:
-    four parallel ``array`` columns (event kind, physical block base,
-    issuing pid, originating access index) instead of per-event
-    objects. Events ``[0, main_events)`` are the run proper; the tail
-    ``[main_events, len)`` is the end-of-run LLC flush sequence, which
-    a replay applies only when the direct run would have
-    (``flush_llc_at_end=True``). The flush tail carries ``pid == -1``
-    and ``access_index == accesses``.
+    two parallel ``array`` columns (event kind, physical block base)
+    instead of per-event objects. Events ``[0, main_events)`` are the
+    run proper; the tail ``[main_events, len)``, if compiled, is the
+    end-of-run LLC flush sequence, which a replay applies only under
+    ``flush_llc_at_end=True``.
 
-    The scalar fields carry the data-side half of the result: the
-    replay splices them into its :class:`SimulationResult` so the
-    assembled record is indistinguishable from a direct run's.
+    The scalar fields carry the data-side half of the result (see
+    :func:`repro.sim.engine.assemble_result`).
     """
 
     __slots__ = (
         "name",
         "kind",
         "addr",
-        "pid",
-        "access_index",
         "main_events",
         "accesses",
         "think_total",
@@ -81,8 +76,6 @@ class BoundaryStream:
         self.name = name
         self.kind = array("B")
         self.addr = array("q")
-        self.pid = array("q")
-        self.access_index = array("q")
         self.main_events = 0
         self.accesses = 0
         self.think_total = 0
@@ -96,23 +89,103 @@ class BoundaryStream:
 
     @property
     def app_instructions(self) -> int:
-        """Application instructions exactly as ``simulate()`` counts
-        them: think cycles plus one per access."""
+        """Application instructions: think cycles plus one per access."""
         return self.think_total + self.accesses
 
     def llc_hit_rate(self) -> float:
         total = self.llc_hits + self.llc_misses
         return self.llc_hits / total if total else 0.0
 
-    def columns(self) -> Tuple[array, array, array, array]:
-        """Raw (kind, addr, pid, access_index) columns."""
-        return self.kind, self.addr, self.pid, self.access_index
+    def close(self, accesses: int, thinks, llc, mm) -> None:
+        """Fill in the data-side scalars once the walk has ended."""
+        self.accesses = accesses
+        self.think_total = sum(thinks)
+        self.llc_hits = llc.stats.get("hits")
+        self.llc_misses = llc.stats.get("misses")
+        self.page_faults = mm.stats.get("page_faults")
+        self.os_instructions = (
+            mm.allocator.instructions()
+            + self.page_faults * INSTRUCTIONS_PER_PAGE_FAULT
+        )
 
     def __repr__(self) -> str:
         return (
             f"BoundaryStream(name={self.name!r}, events={len(self.kind)}, "
             f"accesses={self.accesses})"
         )
+
+
+def trace_columns(trace: Trace):
+    """The trace's raw (vaddr, pid, think, flags) columns, built on the
+    fly for a trace whose ``accesses`` is a plain record list."""
+    accesses = trace.accesses
+    if not isinstance(accesses, ColumnarAccesses):
+        accesses = ColumnarAccesses(accesses)
+    return accesses.columns()
+
+
+def walk_data_side(
+    trace: Trace,
+    llc,
+    mm,
+    block_bytes: int,
+    seed: Seed = 0,
+    churn_interval: int = 16384,
+    churn_bursts: int = 2,
+    churn_pages_per_burst: int = 32,
+    flush_tail: bool = True,
+) -> BoundaryStream:
+    """Walk ``trace`` through an already-built LLC and memory manager;
+    return its boundary-event stream.
+
+    Per reference: translate (demand paging), probe the LLC, record the
+    fill and dirty victims, and for a flush-tagged write (CLWB + fence)
+    a persist if the LLC held the line dirty; churn pages every
+    ``churn_interval`` accesses. ``flush_tail`` appends the end-of-run
+    LLC flush after ``main_events`` (leaving ``llc`` empty).
+    """
+    rng = make_rng(f"{seed}/engine/{trace.name}")
+    stream = BoundaryStream(trace.name)
+    kind_append = stream.kind.append
+    addr_append = stream.addr.append
+
+    # Once per trace record: hoist the bound methods, iterate the raw
+    # columns (flags pack is_write in bit 0 and flush in bit 1).
+    translate = mm.translate
+    llc_access = llc.access
+    llc_flush_block = llc.flush_block
+    churn = mm.churn
+
+    vaddrs, pids, thinks, flag_col = trace_columns(trace)
+    position = 0
+    for vaddr, pid, flags in zip(vaddrs, pids, flag_col):
+        position += 1
+        is_write = flags & 1
+        paddr = translate(pid, vaddr)
+        traffic = llc_access(paddr, is_write)
+        if traffic.fill_block is not None:
+            kind_append(EVENT_FILL)
+            addr_append(traffic.fill_block * block_bytes)
+        for victim_block in traffic.writeback_blocks:
+            kind_append(EVENT_WRITEBACK)
+            addr_append(victim_block * block_bytes)
+        if is_write and flags & 2:
+            flushed_block = llc_flush_block(paddr)
+            if flushed_block is not None:
+                kind_append(EVENT_PERSIST)
+                addr_append(flushed_block * block_bytes)
+        if churn_interval and position % churn_interval == 0:
+            churn(
+                rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
+            )
+
+    stream.main_events = len(stream)
+    if flush_tail:
+        for victim_block in llc.flush():
+            kind_append(EVENT_WRITEBACK)
+            addr_append(victim_block * block_bytes)
+    stream.close(position, thinks, llc, mm)
+    return stream
 
 
 def compile_boundary_stream(
@@ -127,16 +200,14 @@ def compile_boundary_stream(
     max_order: int = 10,
     reclaim_interval: int = 64,
 ) -> BoundaryStream:
-    """Run the data-side hierarchy over ``trace`` once; return its
-    boundary-event stream.
+    """Walk ``trace`` through a freshly built data side for ``config``.
 
-    The loop is ``simulate()``'s, minus the MEE calls: same demand
-    paging, same LRU transitions, same churn RNG stream, same
-    end-of-run flush — every parameter that shapes data-side behaviour
-    is an argument here and a field of the stream-cache key
-    (:class:`repro.workloads.registry.BoundaryStreamSpec`).
-    ``modified_os`` selects the AMNT++ allocator variant, which changes
-    physical placement and therefore the compiled addresses.
+    Every parameter that shapes data-side behaviour is an argument here
+    and a field of the stream-cache key
+    (:class:`repro.workloads.registry.BoundaryStreamSpec`);
+    ``modified_os`` selects the AMNT++ allocator, which changes physical
+    placement. The flush tail is always compiled; replays apply it only
+    under ``flush_llc_at_end``.
     """
     from repro.sim.machine import build_data_side
 
@@ -148,72 +219,7 @@ def compile_boundary_stream(
         max_order=max_order,
         reclaim_interval=reclaim_interval,
     )
-    from repro.sim.engine import INSTRUCTIONS_PER_PAGE_FAULT, _trace_columns
-
-    rng = make_rng(f"{seed}/engine/{trace.name}")
-    block_bytes = config.security.block_bytes
-
-    stream = BoundaryStream(trace.name)
-    kinds = stream.kind
-    addrs = stream.addr
-    out_pids = stream.pid
-    out_index = stream.access_index
-    kind_append = kinds.append
-    addr_append = addrs.append
-    pid_append = out_pids.append
-    index_append = out_index.append
-
-    translate = mm.translate
-    llc_access = llc.access
-    llc_flush_block = llc.flush_block
-    churn = mm.churn
-
-    vaddrs, pids, thinks, flag_col = _trace_columns(trace)
-    position = 0
-    for vaddr, pid, flags in zip(vaddrs, pids, flag_col):
-        position += 1
-        is_write = flags & 1
-        paddr = translate(pid, vaddr)
-        traffic = llc_access(paddr, is_write)
-        if traffic.fill_block is not None:
-            kind_append(EVENT_FILL)
-            addr_append(traffic.fill_block * block_bytes)
-            pid_append(pid)
-            index_append(position - 1)
-        for victim_block in traffic.writeback_blocks:
-            kind_append(EVENT_WRITEBACK)
-            addr_append(victim_block * block_bytes)
-            pid_append(pid)
-            index_append(position - 1)
-        if is_write and flags & 2:
-            flushed_block = llc_flush_block(paddr)
-            if flushed_block is not None:
-                kind_append(EVENT_PERSIST)
-                addr_append(flushed_block * block_bytes)
-                pid_append(pid)
-                index_append(position - 1)
-        if churn_interval and position % churn_interval == 0:
-            churn(
-                rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
-            )
-
-    stream.main_events = len(kinds)
-    # The end-of-run flush sequence is compiled unconditionally (it is
-    # a pure function of the final LLC state and mutates nothing the
-    # main loop reads); replays apply it only under flush_llc_at_end.
-    for victim_block in llc.flush():
-        kind_append(EVENT_WRITEBACK)
-        addr_append(victim_block * block_bytes)
-        pid_append(-1)
-        index_append(position)
-
-    stream.accesses = position
-    stream.think_total = sum(thinks)
-    stream.llc_hits = llc.stats.get("hits")
-    stream.llc_misses = llc.stats.get("misses")
-    stream.page_faults = mm.stats.get("page_faults")
-    stream.os_instructions = (
-        mm.allocator.instructions()
-        + stream.page_faults * INSTRUCTIONS_PER_PAGE_FAULT
+    return walk_data_side(
+        trace, llc, mm, config.security.block_bytes,
+        seed, churn_interval, churn_bursts, churn_pages_per_burst,
     )
-    return stream

@@ -1,7 +1,7 @@
 """Golden results: SHA-256 digests of fixed simulator runs.
 
 The digests in ``tests/data/golden_results.json`` pin the exact output
-of four sets of runs, so any change to the MEE datapath, the sweep
+of five sets of runs, so any change to the MEE datapath, the sweep
 engine, or the protocols that moves one bit of a result shows up as a
 digest mismatch (``tests/test_golden.py``):
 
@@ -19,16 +19,25 @@ digest mismatch (``tests/test_golden.py``):
   run per crash-consistent protocol, crashed mid-trace, recovered and
   audited by the fault oracle; the digest covers the replay record, the
   oracle report, the engine/NVM/protocol statistics, and every NVM
-  region image after recovery.
+  region image after recovery;
+* ``multicore/...`` — :func:`~repro.sim.multicore.simulate_multicore`
+  (private per-core caches in front of the shared LLC) on a two-program
+  PARSEC mix and on one PARSEC trace, x the 6 figure protocols. Both
+  cache levels are shrunk so each sees evictions and dirty victims,
+  and the churn interval is short so page churn runs mid-trace.
 
 Timing results hash ``SimulationResult.to_json()`` as-is (field order
 and stat-dictionary order included). The digests are a recording of
 the code, not a specification: re-record them only for a change that is
 meant to move results, and say so where the change is logged.
 
-Record (overwrites the data file)::
+Record every case set (overwrites the data file)::
 
     PYTHONPATH=src python -m tests.golden
+
+or re-record only the named case sets, keeping every other digest::
+
+    PYTHONPATH=src python -m tests.golden multicore
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Sequence, Tuple
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_results.json"
 
@@ -49,6 +58,10 @@ FUNCTIONAL_SEED = 7
 CRASH_ACCESSES = 600
 CRASH_AT = 411
 CRASH_PROTOCOLS = ("leaf", "strict", "amnt")
+MULTICORE_ACCESSES = 4_000
+MULTICORE_CHURN_INTERVAL = 512
+MULTICORE_PRIVATE_KB = 16
+MULTICORE_LLC_KB = 64
 
 
 def sha256_text(text: str) -> str:
@@ -232,11 +245,58 @@ def crash_cases() -> Iterator[Tuple[str, str]]:
         yield f"crash/{protocol}", sha256_text(_canonical(payload))
 
 
+def multicore_cases() -> Iterator[Tuple[str, str]]:
+    from dataclasses import replace
+
+    from repro.config import DataCacheConfig, default_config
+    from repro.sim.machine import build_machine
+    from repro.sim.multicore import simulate_multicore
+    from repro.sim.runner import FIGURE_PROTOCOLS
+    from repro.util.units import KB
+    from repro.workloads.parsec import MULTIPROGRAM_PAIRS
+    from repro.workloads.registry import (
+        materialize_trace,
+        multiprogram_spec,
+        profile_spec,
+    )
+
+    config = replace(
+        default_config(),
+        llc=DataCacheConfig(
+            capacity_bytes=MULTICORE_LLC_KB * KB, associativity=16
+        ),
+    )
+    private = DataCacheConfig(
+        capacity_bytes=MULTICORE_PRIVATE_KB * KB,
+        associativity=8,
+        access_latency_cycles=12,
+    )
+    pair = MULTIPROGRAM_PAIRS[0]
+    traces = {
+        "+".join(pair): multiprogram_spec(
+            "parsec", pair, MULTICORE_ACCESSES // 2, REFERENCE_SEED
+        ),
+        "canneal": profile_spec(
+            "parsec", "canneal", MULTICORE_ACCESSES, REFERENCE_SEED
+        ),
+    }
+    for label, spec in traces.items():
+        trace = materialize_trace(spec)
+        for protocol in FIGURE_PROTOCOLS:
+            machine = build_machine(config, protocol, seed=REFERENCE_SEED)
+            result = simulate_multicore(
+                machine, trace, private_config=private,
+                seed=REFERENCE_SEED, churn_interval=MULTICORE_CHURN_INTERVAL,
+            )
+            yield f"multicore/{label}/{protocol}", result_digest(result)
+
+
 CASE_SETS: Dict[str, Callable[[], Iterator[Tuple[str, str]]]] = {
     "grid": grid_cases,
     "storage": storage_cases,
     "functional": functional_cases,
     "crash": crash_cases,
+    "multicore": multicore_cases,
 }
 
 
@@ -244,10 +304,21 @@ def load_golden() -> Dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())["digests"]
 
 
-def record() -> Dict[str, str]:
+def record(case_sets: Sequence[str] = ()) -> Dict[str, str]:
+    """Run ``case_sets`` (default: all) and write their digests.
+
+    Digests of case sets not named are kept as recorded.
+    """
+    names = tuple(case_sets) or tuple(CASE_SETS)
     digests: Dict[str, str] = {}
-    for produce in CASE_SETS.values():
-        digests.update(produce())
+    if case_sets:
+        digests = {
+            label: digest
+            for label, digest in load_golden().items()
+            if label.split("/", 1)[0] not in names
+        }
+    for name in names:
+        digests.update(CASE_SETS[name]())
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     document = {
         "description": (
@@ -260,5 +331,5 @@ def record() -> Dict[str, str]:
 
 
 if __name__ == "__main__":
-    written = record()
+    written = record(sys.argv[1:])
     print(f"wrote {len(written)} digests to {GOLDEN_PATH}", file=sys.stderr)

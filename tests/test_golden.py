@@ -1,9 +1,11 @@
 """Every golden digest must still match, bit for bit.
 
 The digests were recorded before the MEE's read, write and replay
-entries were merged into one per-event kernel, so they are an oracle
-that does not share that kernel: direct ``simulate()`` and the sweep's
-plan replay must each reproduce the recorded results on their own (see
+entries were merged into one per-event kernel, and before
+``simulate()``, the sweep compiler and ``simulate_multicore`` shared
+one data-side walk, so they are an oracle that shares neither: direct
+``simulate()``, the sweep's plan replay and the multicore model must
+each reproduce the recorded results on their own (see
 ``tests/golden.py`` for the cases and how to re-record them).
 """
 

@@ -113,3 +113,55 @@ class TestSimulateMulticore:
             machine = build_machine(config, name, seed=3)
             cycles[name] = simulate_multicore(machine, trace, seed=3).cycles
         assert cycles["leaf"] < cycles["strict"]
+
+
+class TestMulticoreStorageTrace:
+    """kvstore at 12k accesses: flush-tagged writes and a churn interval
+    that falls on private-cache hits."""
+
+    @pytest.fixture(scope="class")
+    def kvstore(self):
+        from repro.workloads.storage import (
+            generate_storage_trace,
+            storage_profile,
+        )
+
+        return generate_storage_trace(
+            storage_profile("kvstore"), seed=1, accesses=12_000
+        )
+
+    def test_churn_cadence_counts_every_access(self, kvstore):
+        """Churn runs once per ``churn_interval`` accesses, whether the
+        access hit a private cache or reached the LLC."""
+        machine = build_machine(default_config(), "strict", seed=1)
+        calls = []
+        real_churn = machine.mm.churn
+
+        def counting_churn(rng, **kwargs):
+            calls.append(kwargs)
+            return real_churn(rng, **kwargs)
+
+        machine.mm.churn = counting_churn
+        simulate_multicore(machine, kvstore, seed=1, churn_interval=64)
+        assert len(calls) == len(kvstore) // 64
+
+    def test_one_fenced_persist_per_flush_tagged_write(self, kvstore):
+        """CLWB + fence reaches memory through the private cache: every
+        flush-tagged write is one fenced data write, as in simulate()."""
+        machine = build_machine(default_config(), "strict", seed=1)
+        persists = []
+        real_write_block = machine.mee.write_block
+
+        def counting_write_block(paddr, data=None, fenced=False):
+            if fenced:
+                persists.append(paddr)
+            return real_write_block(paddr, data=data, fenced=fenced)
+
+        machine.mee.write_block = counting_write_block
+        result = simulate_multicore(machine, kvstore, seed=1)
+        flush_writes = sum(
+            1 for access in kvstore if access.is_write and access.flush
+        )
+        assert flush_writes == 5_435
+        assert len(persists) == flush_writes
+        assert result.nvm_stats["nvm.writes.data"] >= flush_writes

@@ -112,11 +112,10 @@ class TestStreamContents:
         assert isinstance(stream, BoundaryStream)
         assert stream.accesses == 600
         assert set(stream.kind) <= {EVENT_FILL, EVENT_WRITEBACK, EVENT_PERSIST}
-        # The end-of-run flush tail sits after main_events, marked with
-        # the sentinel pid, and is replayed only under flush_llc_at_end.
-        assert stream.main_events <= len(stream)
-        tail_pids = set(stream.pid[stream.main_events:])
-        assert tail_pids <= {-1}
+        # The end-of-run flush tail sits after main_events, holds only
+        # posted writebacks, and is replayed only under flush_llc_at_end.
+        assert stream.main_events < len(stream)
+        assert set(stream.kind[stream.main_events:]) == {EVENT_WRITEBACK}
 
     def test_modified_os_changes_placement(self, small_config):
         """amnt++'s allocator restructuring must show up in the compiled
