@@ -13,8 +13,7 @@ each setting.
 from repro.bench.experiments import MULTIPROGRAM_SCATTER_CHUNKS
 from repro.bench.reporting import format_table
 from repro.config import default_config
-from repro.sim.engine import simulate
-from repro.sim.machine import build_machine
+from repro.sim.runner import run_protocol_sweep
 from repro.workloads.multiprogram import multiprogram_trace
 from repro.workloads.multithread import multithread_trace
 from repro.workloads.parsec import parsec_profile
@@ -37,16 +36,12 @@ def run_contrast(accesses: int, seed: int):
     }
     rows = []
     for label, (trace, scatter) in scenarios.items():
-        baseline = simulate(
-            build_machine(config, "volatile", seed=seed, scatter_span_chunks=scatter),
-            trace,
-            seed=seed,
+        results = run_protocol_sweep(
+            trace, config, ("volatile", "amnt", "amnt++"), seed=seed,
+            scatter_span_chunks=scatter,
         )
-        for protocol in ("amnt", "amnt++"):
-            machine = build_machine(
-                config, protocol, seed=seed, scatter_span_chunks=scatter
-            )
-            result = simulate(machine, trace, seed=seed)
+        baseline = results.pop("volatile")
+        for protocol, result in results.items():
             rows.append(
                 {
                     "scenario": label,

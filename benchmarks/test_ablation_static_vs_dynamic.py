@@ -14,8 +14,7 @@ of *dynamic* hot-region adaptation.
 from repro.bench.reporting import format_table
 from repro.config import default_config
 from repro.core.recovery import RecoveryAnalysis
-from repro.sim.engine import simulate
-from repro.sim.machine import build_machine
+from repro.sim.runner import run_protocol_sweep
 from repro.util.units import TB
 from repro.workloads.spec import spec_profile
 from repro.workloads.synthetic import generate_trace
@@ -29,13 +28,10 @@ def run_comparison(accesses: int, seed: int):
     trace = generate_trace(
         spec_profile("xz").scaled(accesses=accesses), seed=seed
     )
+    results = run_protocol_sweep(trace, config, PROTOCOLS, seed=seed)
+    baseline = results[PROTOCOLS[0]].cycles
     rows = []
-    baseline = None
-    for name in PROTOCOLS:
-        machine = build_machine(config, name, seed=seed)
-        result = simulate(machine, trace, seed=seed)
-        if baseline is None:
-            baseline = result.cycles
+    for name, result in results.items():
         rows.append(
             {
                 "protocol": name,

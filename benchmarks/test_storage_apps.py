@@ -14,10 +14,8 @@ baselines, reporting the overhead reduction the abstract quantifies.
 
 from repro.bench.reporting import format_series
 from repro.config import default_config
-from repro.sim.engine import simulate
-from repro.sim.machine import build_machine
 from repro.sim.results import normalized_cycles
-from repro.sim.runner import geometric_mean
+from repro.sim.runner import geometric_mean, run_protocol_sweep
 from repro.workloads.storage import generate_storage_trace, storage_names, storage_profile
 
 PROTOCOLS = ("volatile", "leaf", "strict", "anubis", "bmf", "amnt")
@@ -30,10 +28,7 @@ def run_storage_suite(accesses: int, seed: int):
         trace = generate_storage_trace(
             storage_profile(name), seed=seed, accesses=accesses
         )
-        results = {}
-        for protocol in PROTOCOLS:
-            machine = build_machine(config, protocol, seed=seed)
-            results[protocol] = simulate(machine, trace, seed=seed)
+        results = run_protocol_sweep(trace, config, PROTOCOLS, seed=seed)
         figure[name] = normalized_cycles(results)
     return figure
 

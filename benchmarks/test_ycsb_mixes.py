@@ -14,9 +14,8 @@ from dataclasses import replace
 from repro.bench.charts import grouped_bar_chart
 from repro.bench.reporting import format_series
 from repro.config import DataCacheConfig, default_config
-from repro.sim.engine import simulate
-from repro.sim.machine import build_machine
 from repro.sim.results import normalized_cycles
+from repro.sim.runner import run_protocol_sweep
 from repro.util.units import KB
 from repro.workloads.ycsb import generate_ycsb_trace, ycsb_names, ycsb_workload
 
@@ -36,10 +35,7 @@ def run_ycsb(operations: int, seed: int):
         trace = generate_ycsb_trace(
             ycsb_workload(name), operations=operations, seed=seed
         )
-        results = {}
-        for protocol in PROTOCOLS:
-            machine = build_machine(config, protocol, seed=seed)
-            results[protocol] = simulate(machine, trace, seed=seed)
+        results = run_protocol_sweep(trace, config, PROTOCOLS, seed=seed)
         figure[f"YCSB-{name}"] = normalized_cycles(results)
     return figure
 

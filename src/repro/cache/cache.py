@@ -255,15 +255,6 @@ class SetAssociativeCache:
             bucket.clear()
         return dropped
 
-    def flush_dirty(self) -> List[Key]:
-        """Writeback-and-invalidate every line; returns the dirty keys
-        (sets in order, LRU to MRU within each set)."""
-        dirty = [line.key for line in self.lines() if line.dirty]
-        for bucket in self._sets:
-            bucket.clear()
-        self.stats.add("flushes")
-        return dirty
-
     def occupancy(self) -> int:
         return sum(len(bucket) for bucket in self._sets)
 

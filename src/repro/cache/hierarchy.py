@@ -15,7 +15,7 @@ which dirty victims write back this access.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from repro.cache.cache import CacheLine, SetAssociativeCache, build_cache
 from repro.config import DataCacheConfig
@@ -120,14 +120,6 @@ class DataCache:
             fill_block=block,
             writeback_blocks=writebacks,
         )
-
-    def flush(self) -> List[int]:
-        """Write back and drop every line; returns dirty block indices.
-
-        Models a full cache flush (e.g. at region-of-interest end so
-        trailing writebacks are attributed to the run that caused them).
-        """
-        return self._cache.flush_dirty()
 
     def flush_block(self, addr: int) -> Optional[int]:
         """CLWB-style single-line flush; returns the block if it was

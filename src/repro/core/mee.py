@@ -39,10 +39,19 @@ chain, see :class:`RecordResolver`). The direct entries
 (:meth:`~MemoryEncryptionEngine.read_block`,
 :meth:`~MemoryEncryptionEngine.read_block_data`,
 :meth:`~MemoryEncryptionEngine.write_block`) resolve the record of one
-address and run one event; the sweep's planned replay
-(:meth:`~MemoryEncryptionEngine.replay_plan_events`) runs a compiled
-plan's records (:mod:`repro.sim.plan`). So single runs, the crash and
-tamper campaigns, and every figure exercise the same code.
+address and run one event. Every simulated run replays a boundary
+stream through :meth:`~MemoryEncryptionEngine.replay_plan_events`, the
+one event loop: sweep cells with a compiled plan's records
+(:mod:`repro.sim.plan`), ``simulate()`` and the multicore model with
+records the engine resolves as the loop reaches each event. So single
+runs, the crash and tamper campaigns, and every figure exercise the
+same code.
+
+Wear accounting (:mod:`repro.mem.wear`) is an optional tracker on the
+engine: when ``wear_tracker`` is set, the write event and every NVM
+write helper (the ``persist_*`` helpers, the lazy metadata writeback)
+record the line they write. Without one the cost is an ``is None``
+test per write.
 
 Timing and function are separable: built with ``functional=False`` the
 engine tracks cache/NVM events and cycles only; with
@@ -223,9 +232,10 @@ class MemoryEncryptionEngine:
         self._ctr_walk_cache = self.stats.counter("walk_stopped_at_cache")
         self._ctr_md_writebacks = self.stats.counter("metadata_writebacks")
         self._md_clean = self.mdcache.clean
-        #: The direct entries' address -> record memo (freed with the
-        #: engine; plans own theirs).
-        self._record = RecordResolver(self.geometry, self.address_space).record
+        #: The engine's own address -> datapath record resolver, used by
+        #: the direct entries and by uncompiled replays (memo freed with
+        #: the engine; plans own theirs).
+        self.record_of = RecordResolver(self.geometry, self.address_space).record
         self._persist_ctr_write = self.nvm.writer(_COUNTERS, persist=True)
         self._persist_tree_write = self.nvm.writer(_TREE, persist=True)
         self._persist_hmac_write = self.nvm.writer(_HMACS, persist=True)
@@ -250,9 +260,9 @@ class MemoryEncryptionEngine:
         #: Plaintext of the last functional read (read_block_data).
         self._plaintext = b""
         #: Optional wear instrumentation (repro.mem.wear). When set,
-        #: protocols report their private-region writes (e.g. Anubis's
-        #: shadow table) here; the engine's own write paths are wrapped
-        #: by attach_wear_tracking.
+        #: the data write and the NVM write helpers record each line
+        #: they write here, and so do protocols with private regions
+        #: (Anubis's shadow table).
         self.wear_tracker = None
         #: Optional crash scheduler (repro.faults.triggers). When set,
         #: the engine announces phase boundaries to it and brackets each
@@ -292,13 +302,12 @@ class MemoryEncryptionEngine:
         write, each returning its cycles (see the module docstring for
         the steps). ``record`` comes from a :class:`RecordResolver`:
         :meth:`read_block`/:meth:`write_block` resolve it per call, and
-        :meth:`replay_plan_events` takes it from a compiled plan.
+        :meth:`replay_plan_events` takes it from its caller (a compiled
+        plan, or :attr:`record_of` applied to each event's address).
 
-        Everything the events touch is resolved once here, except what
-        campaigns and wear tracking install after construction: the
-        write event reads ``fault_probe`` per call, and misses reach
-        :meth:`_writeback_metadata` (like protocols reach the
-        ``persist_*`` helpers) through the instance.
+        Everything the events touch is resolved once here, except the
+        instruments a run attaches after construction: the write event
+        reads ``wear_tracker`` and ``fault_probe`` per call.
 
         Protocol hooks are called only when the protocol's class
         overrides them: most of the lineup keeps the no-op defaults, so
@@ -357,6 +366,7 @@ class MemoryEncryptionEngine:
         fenced_cycles = nvm.write_latency_cycles
         verify_and_decrypt = self._verify_and_decrypt
         bump_and_store = self._functional_counter_bump_and_store
+        writeback = self._writeback_metadata
         line_cls = CacheLine
         mee = self
 
@@ -385,7 +395,7 @@ class MemoryEncryptionEngine:
             if fill_hook is not None:
                 cycles += fill_hook(key)
             if victim is not None and victim.dirty:
-                cycles += mee._writeback_metadata(victim.key)
+                cycles += writeback(victim.key)
             return cycles
 
         def read_event(paddr, record):
@@ -420,6 +430,9 @@ class MemoryEncryptionEngine:
             return cycles
 
         def write_event(paddr, record, data, fenced):
+            wear = mee.wear_tracker
+            if wear is not None:
+                wear.record(_DATA, mee.address_space.block_index(paddr))
             ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = (
                 record
             )
@@ -479,13 +492,13 @@ class MemoryEncryptionEngine:
 
     def read_block(self, paddr: int) -> int:
         """Authenticate-and-fetch one block; returns cycles."""
-        return self._read_event(paddr, self._record(paddr))
+        return self._read_event(paddr, self.record_of(paddr))
 
     def read_block_data(self, paddr: int) -> bytes:
         """Functional read: authenticate, decrypt, return plaintext."""
         if not self.functional:
             raise RuntimeError("read_block_data requires functional mode")
-        self._read_event(paddr, self._record(paddr))
+        self._read_event(paddr, self.record_of(paddr))
         return self._plaintext
 
     def write_block(
@@ -501,16 +514,17 @@ class MemoryEncryptionEngine:
         posted, and the protocol's fence-ordered bookkeeping is charged
         on the critical path.
         """
-        return self._write_event(paddr, self._record(paddr), data, fenced)
+        return self._write_event(paddr, self.record_of(paddr), data, fenced)
 
     def replay_plan_events(self, kinds, addrs, event_records) -> int:
-        """Run a compiled plan's events through the kernel; returns
+        """Run a boundary stream's events through the kernel; returns
         total cycles.
 
         ``kinds``/``addrs`` are a :class:`~repro.sim.replay.BoundaryStream`'s
         columns (0 = fill, 1 = posted writeback, 2 = fenced persist) and
-        ``event_records[i]`` is event ``i``'s record from its
-        :class:`~repro.sim.plan.MetadataPlan`.
+        ``event_records`` yields each event's datapath record: a
+        :class:`~repro.sim.plan.MetadataPlan`'s records, or
+        ``map(mee.record_of, addrs)`` to resolve them as the loop goes.
         """
         read_event = self._read_event
         write_event = self._write_event
@@ -533,6 +547,15 @@ class MemoryEncryptionEngine:
     def _writeback_metadata(self, key: tuple) -> int:
         """Lazy writeback of a dirty metadata line on eviction (posted:
         it drains from the write queue off the critical path)."""
+        wear = self.wear_tracker
+        if wear is not None:
+            kind = key[0]
+            if kind == "ctr":
+                wear.record(_COUNTERS, key[1])
+            elif kind == "node":
+                wear.record(_TREE, (key[1], key[2]))
+            else:
+                wear.record(_HMACS, key[1])
         probe = self.fault_probe
         if probe is not None:
             # Posted writebacks can be lost to a power cut: outside a
@@ -580,6 +603,9 @@ class MemoryEncryptionEngine:
 
     def persist_counter_line(self, counter_index: int) -> int:
         """Write-through the counter line (crash-consistency persist)."""
+        wear = self.wear_tracker
+        if wear is not None:
+            wear.record(_COUNTERS, counter_index)
         probe = self.fault_probe
         if probe is not None:
             # The persist window: this line is not yet durable, and
@@ -594,6 +620,9 @@ class MemoryEncryptionEngine:
         return cycles
 
     def persist_hmac_line(self, hmac_line: int) -> int:
+        wear = self.wear_tracker
+        if wear is not None:
+            wear.record(_HMACS, hmac_line)
         probe = self.fault_probe
         if probe is not None:
             probe.on_persist()
@@ -610,6 +639,9 @@ class MemoryEncryptionEngine:
         return cycles
 
     def persist_tree_node(self, node: NodeId) -> int:
+        wear = self.wear_tracker
+        if wear is not None:
+            wear.record(_TREE, node)
         probe = self.fault_probe
         if probe is not None:
             probe.on_persist()

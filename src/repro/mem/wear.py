@@ -11,19 +11,19 @@ them into the two numbers an SCM architect asks for:
 * **hottest-line pressure** — the maximum per-line write count relative
   to the mean, which (absent wear-leveling) bounds device lifetime.
 
-:class:`WearTracker` wraps a :class:`~repro.mem.nvm.NVMDevice` by
-interposing on its access methods — build one around the device before
-simulation and read the report after. Interposition keeps the device's
-hot path free of wear bookkeeping unless a study asks for it.
+:func:`attach_wear_tracking` sets a :class:`WearTracker` as the memory
+encryption engine's ``wear_tracker`` before simulation; read the report
+after. The engine's data write and its NVM write helpers record each
+line they write while a tracker is set, so an untracked run pays one
+``is None`` test per write and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mem.backend import MetadataRegion
-from repro.mem.nvm import NVMDevice
 
 #: Conventional PCM cell endurance (writes) used for lifetime math.
 DEFAULT_CELL_ENDURANCE = 10**8
@@ -72,13 +72,13 @@ class WearReport:
 
 
 class WearTracker:
-    """Interposes on an NVM device to record per-line write counts.
+    """Per-line NVM write counts.
 
     Only *writes* wear PCM; reads are free. The tracker needs line
     identity, which the timing-side ``write_access`` does not carry, so
-    it hooks the MEE at the point where line identity exists: wrap the
-    engine with :func:`attach_wear_tracking` and the persist/writeback
-    helpers report their keys here.
+    the MEE reports lines where that identity exists: its data write,
+    persist helpers and lazy metadata writeback (see
+    :func:`attach_wear_tracking`).
     """
 
     def __init__(self) -> None:
@@ -111,54 +111,13 @@ class WearTracker:
 
 
 def attach_wear_tracking(mee) -> WearTracker:
-    """Instrument a MemoryEncryptionEngine's write paths with a tracker.
+    """Attach a new tracker to a MemoryEncryptionEngine; returns it.
 
-    Wraps the engine's persist helpers, lazy writeback, and data write
-    so every NVM line write is attributed. Returns the tracker; call
-    ``tracker.report()`` after simulation.
+    Every NVM line write the engine issues from then on is attributed:
+    data writes, protocol persists, lazy metadata writebacks, and the
+    private-region writes of protocols that have them (Anubis's shadow
+    table). Call ``tracker.report()`` after simulation.
     """
     tracker = WearTracker()
-
-    original_persist_counter = mee.persist_counter_line
-    original_persist_hmac = mee.persist_hmac_line
-    original_persist_node = mee.persist_tree_node
-    original_writeback = mee._writeback_metadata
-    original_write_block = mee.write_block
-
-    def persist_counter(counter_index):
-        tracker.record(MetadataRegion.COUNTERS, counter_index)
-        return original_persist_counter(counter_index)
-
-    def persist_hmac(hmac_line):
-        tracker.record(MetadataRegion.HMACS, hmac_line)
-        return original_persist_hmac(hmac_line)
-
-    def persist_node(node):
-        tracker.record(MetadataRegion.TREE, node)
-        return original_persist_node(node)
-
-    def writeback(key):
-        kind = key[0]
-        if kind == "ctr":
-            tracker.record(MetadataRegion.COUNTERS, key[1])
-        elif kind == "node":
-            tracker.record(MetadataRegion.TREE, (key[1], key[2]))
-        else:
-            tracker.record(MetadataRegion.HMACS, key[1])
-        return original_writeback(key)
-
-    def write_block(paddr, data=None, fenced=False):
-        tracker.record(
-            MetadataRegion.DATA, mee.address_space.block_index(paddr)
-        )
-        return original_write_block(paddr, data=data, fenced=fenced)
-
-    mee.persist_counter_line = persist_counter
-    mee.persist_hmac_line = persist_hmac
-    mee.persist_tree_node = persist_node
-    mee._writeback_metadata = writeback
-    mee.write_block = write_block
-    # Protocols with private NVM regions (Anubis's shadow table) report
-    # their writes through this attribute.
     mee.wear_tracker = tracker
     return tracker

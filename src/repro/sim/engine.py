@@ -16,13 +16,14 @@ reported figure is normalized to the volatile baseline run on the same
 trace, exactly as the paper normalizes to the volatile secure-memory
 scheme.
 
-:func:`simulate` (the single-run API) and
-:func:`repro.sim.multicore.simulate_multicore` replay their own walk
-through the engine's bound ``read_block``/``write_block``
-(:func:`replay_boundary_stream`); :func:`simulate_from_plan` (every
-sweep cell) replays a cached stream with its metadata plan. All three
-end in the same per-event MEE kernel and :func:`assemble_result`;
-``tests/test_golden.py`` pins them against recorded digests.
+Every run ends in :func:`replay_stream`, which drives the engine's one
+event loop (:meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`)
+and assembles the result. :func:`simulate_from_plan` (every sweep cell)
+hands it a compiled plan's records; :func:`simulate` (the single-run
+API) and :func:`repro.sim.multicore.simulate_multicore` walk their own
+machine's data side and let the engine resolve each record as the loop
+reaches it. ``tests/test_golden.py`` pins all three against recorded
+digests.
 """
 
 from __future__ import annotations
@@ -32,42 +33,25 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import PowerFailure, SimulationError
 from repro.sim.machine import Machine
-from repro.sim.replay import (
-    EVENT_FILL,
-    EVENT_PERSIST,
-    BoundaryStream,
-    trace_columns,
-    walk_data_side,
-)
+from repro.sim.replay import BoundaryStream, trace_columns, walk_data_side
 from repro.sim.results import SimulationResult
 from repro.telemetry import record_simulation
 from repro.util.rng import Seed, make_rng
 from repro.workloads.trace import Trace
 
 
-def replay_boundary_stream(mee, stream: BoundaryStream) -> int:
-    """Send every event of ``stream`` through ``mee``; returns cycles.
+def replay_stream(
+    stream: BoundaryStream, mee, records, cycles: int
+) -> SimulationResult:
+    """Replay ``stream`` into ``mee``; returns the run's result.
 
-    Fills go to ``mee.read_block``, writebacks and persists to
-    ``mee.write_block`` (persists fenced). The entries are looked up on
-    ``mee`` when the replay starts, so a wrapper installed before the
-    run (wear tracking, a hybrid facade) sees every event.
+    ``records`` yields each event's datapath record (a compiled plan's
+    ``records``, or ``map(mee.record_of, stream.addr)``); ``cycles`` is
+    the data side's share of the run, to which the replay adds the
+    engine's. Data-side figures come from the stream, the rest from the
+    engine's statistics. Also folds the run into telemetry.
     """
-    read_block = mee.read_block
-    write_block = mee.write_block
-    cycles = 0
-    for kind, addr in zip(stream.kind, stream.addr):
-        if kind == EVENT_FILL:
-            cycles += read_block(addr)
-        else:
-            cycles += write_block(addr, fenced=kind == EVENT_PERSIST)
-    return cycles
-
-
-def assemble_result(stream: BoundaryStream, mee, cycles: int) -> SimulationResult:
-    """The result of a run that replayed ``stream`` into ``mee`` in
-    ``cycles``: data-side figures from the stream, the rest from the
-    engine's statistics. Also folds the run into telemetry."""
+    cycles += mee.replay_plan_events(stream.kind, stream.addr, records)
     os_instructions = stream.os_instructions
     result = SimulationResult(
         workload=stream.name,
@@ -94,34 +78,24 @@ def simulate(
     churn_interval: int = 16384,
     churn_bursts: int = 2,
     churn_pages_per_burst: int = 32,
-    flush_llc_at_end: bool = False,
 ) -> SimulationResult:
     """Run ``trace`` to completion on ``machine``; returns the result.
 
     Walks ``machine.llc``/``machine.mm`` into a boundary stream, then
-    replays it through ``machine.mee``. ``flush_llc_at_end`` writes the
-    LLC's dirty lines back after the last access, as part of the run.
+    replays it through ``machine.mee``. The run ends at the last access:
+    lines still dirty in the LLC stay there.
     """
     stream = walk_data_side(
         trace, machine.llc, machine.mm, machine.config.security.block_bytes,
         seed, churn_interval, churn_bursts, churn_pages_per_burst,
-        flush_tail=flush_llc_at_end,
     )
     mee = machine.mee
     llc_latency = machine.config.llc.access_latency_cycles
     cycles = stream.think_total + stream.accesses * llc_latency
-    cycles += replay_boundary_stream(mee, stream)
-    return assemble_result(stream, mee, cycles)
+    return replay_stream(stream, mee, map(mee.record_of, stream.addr), cycles)
 
 
-# ----------------------------------------------------------------------
-# compiled replay (every sweep cell)
-# ----------------------------------------------------------------------
-
-
-def simulate_from_plan(
-    stream, plan, machine: Machine, flush_llc_at_end: bool = False
-) -> SimulationResult:
+def simulate_from_plan(stream, plan, machine: Machine) -> SimulationResult:
     """Replay a compiled :class:`~repro.sim.replay.BoundaryStream` into
     ``machine.mee`` with its :class:`~repro.sim.plan.MetadataPlan`
     (each event's pre-resolved datapath record); returns the result.
@@ -133,17 +107,9 @@ def simulate_from_plan(
     variant) match — the cache key in :mod:`repro.workloads.registry`
     encodes that contract.
     """
-    mee = machine.mee
     llc_latency = machine.config.llc.access_latency_cycles
-
-    kinds = stream.kind
-    if not flush_llc_at_end:
-        # The kernel zips the columns: cutting ``kinds`` drops the tail.
-        kinds = kinds[: stream.main_events]
-
     cycles = stream.think_total + stream.accesses * llc_latency
-    cycles += mee.replay_plan_events(kinds, stream.addr, plan.records)
-    return assemble_result(stream, mee, cycles)
+    return replay_stream(stream, machine.mee, plan.records, cycles)
 
 
 # ----------------------------------------------------------------------

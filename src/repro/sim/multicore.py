@@ -16,7 +16,8 @@ the MEE sits.
 
 :func:`compile_multicore_stream` walks a trace through those caches
 into a :class:`~repro.sim.replay.BoundaryStream`;
-:func:`simulate_multicore` replays it exactly as
+:func:`simulate_multicore` replays it through the engine's one event
+loop (:func:`repro.sim.engine.replay_stream`), exactly as
 :func:`repro.sim.engine.simulate` replays the one-level walk.
 """
 
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional
 from repro.cache.cache import build_cache
 from repro.config import DataCacheConfig
 from repro.mem.address import AddressSpace
-from repro.sim.engine import assemble_result, replay_boundary_stream
+from repro.sim.engine import replay_stream
 from repro.sim.machine import Machine
 from repro.sim.replay import (
     EVENT_FILL,
@@ -166,7 +167,6 @@ def compile_multicore_stream(
         if churn_interval and position % churn_interval == 0:
             churn(rng)
 
-    stream.main_events = len(stream)
     stream.close(position, thinks, llc, mm)
     return stream
 
@@ -202,5 +202,4 @@ def simulate_multicore(
         + stream.accesses * private_config.access_latency_cycles
         + private.misses() * machine.config.llc.access_latency_cycles
     )
-    cycles += replay_boundary_stream(mee, stream)
-    return assemble_result(stream, mee, cycles)
+    return replay_stream(stream, mee, map(mee.record_of, stream.addr), cycles)

@@ -10,9 +10,10 @@ are identical for every protocol and every metadata-cache size.
 :func:`compile_metadata_plan` walks a compiled
 :class:`~repro.sim.replay.BoundaryStream`'s addresses once and emits a
 :class:`MetadataPlan`: one datapath record per event, resolved by the
-same :class:`~repro.core.mee.RecordResolver` the MEE's direct
-``read_block``/``write_block`` entries use, so a planned replay runs
-the MEE kernel on exactly the records a direct run would resolve.
+same :class:`~repro.core.mee.RecordResolver` the MEE uses for its
+direct entries and for ``simulate()``'s uncompiled replay, so a planned
+replay runs the MEE's one event loop on exactly the records a direct
+run resolves as it goes (:func:`repro.sim.engine.replay_stream`).
 
 What is *not* planned: fault campaigns keep the direct entries
 (:func:`repro.sim.engine.drive_memory_boundary`), for the reasons they
@@ -29,10 +30,10 @@ from repro.mem.address import AddressSpace
 
 class MetadataPlan:
     """The compiled metadata plan of one boundary stream: ``records[i]``
-    is the datapath record of the stream's event ``i`` (flush tail
-    included). Events sharing a (counter line, HMAC line) pair share
-    one record, and records of sibling counters share their ancestor
-    chain; the records live and die with the plan."""
+    is the datapath record of the stream's event ``i``. Events sharing
+    a (counter line, HMAC line) pair share one record, and records of
+    sibling counters share their ancestor chain; the records live and
+    die with the plan."""
 
     __slots__ = ("name", "records")
 

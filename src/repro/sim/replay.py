@@ -10,13 +10,17 @@ churn) is protocol-independent for a fixed OS variant.
 through an already-built LLC and memory manager and emits a columnar
 :class:`BoundaryStream` of every boundary event in program order, plus
 the data-side half of the eventual
-:class:`~repro.sim.results.SimulationResult`. ``simulate()`` walks its
-machine's own data side; :func:`compile_boundary_stream` walks a fresh
-one, so an 18-cell sweep (3 benchmarks x 6 protocols) walks 3 times
-and replays each cached stream into every protocol's MEE
-(``tests/test_replay.py`` checks replay against ``simulate()``).
+:class:`~repro.sim.results.SimulationResult`. The stream ends with the
+last access's traffic: like the paper's measured region of interest, a
+run has no end-of-run cache flush. ``simulate()`` walks its machine's
+own data side; :func:`compile_boundary_stream` walks a fresh one, so an
+18-cell sweep (3 benchmarks x 6 protocols) walks 3 times and replays
+each cached stream into every protocol's MEE (``tests/test_replay.py``
+checks replay against ``simulate()``).
 :func:`repro.sim.multicore.compile_multicore_stream` is a second
-compiler with private per-core caches in front of the LLC.
+compiler with private per-core caches in front of the LLC. Every
+stream is replayed by the same engine loop
+(:func:`repro.sim.engine.replay_stream`).
 
 Fault campaigns do not use streams: they drive the MEE directly
 (:func:`repro.sim.engine.drive_memory_boundary`, no LLC), because their
@@ -41,7 +45,7 @@ INSTRUCTIONS_PER_PAGE_FAULT = 500
 
 #: Boundary-event kinds stored in :attr:`BoundaryStream.kind`.
 EVENT_FILL = 0  #: LLC miss: read the block through the MEE.
-EVENT_WRITEBACK = 1  #: Dirty victim (or end-of-run flush): posted write.
+EVENT_WRITEBACK = 1  #: Dirty victim: posted write.
 EVENT_PERSIST = 2  #: CLWB + fence: fenced write on the critical path.
 
 
@@ -50,20 +54,16 @@ class BoundaryStream:
 
     Columnar like :class:`~repro.workloads.trace.ColumnarAccesses`:
     two parallel ``array`` columns (event kind, physical block base)
-    instead of per-event objects. Events ``[0, main_events)`` are the
-    run proper; the tail ``[main_events, len)``, if compiled, is the
-    end-of-run LLC flush sequence, which a replay applies only under
-    ``flush_llc_at_end=True``.
+    instead of per-event objects.
 
     The scalar fields carry the data-side half of the result (see
-    :func:`repro.sim.engine.assemble_result`).
+    :func:`repro.sim.engine.replay_stream`).
     """
 
     __slots__ = (
         "name",
         "kind",
         "addr",
-        "main_events",
         "accesses",
         "think_total",
         "llc_hits",
@@ -76,7 +76,6 @@ class BoundaryStream:
         self.name = name
         self.kind = array("B")
         self.addr = array("q")
-        self.main_events = 0
         self.accesses = 0
         self.think_total = 0
         self.llc_hits = 0
@@ -133,7 +132,6 @@ def walk_data_side(
     churn_interval: int = 16384,
     churn_bursts: int = 2,
     churn_pages_per_burst: int = 32,
-    flush_tail: bool = True,
 ) -> BoundaryStream:
     """Walk ``trace`` through an already-built LLC and memory manager;
     return its boundary-event stream.
@@ -141,8 +139,7 @@ def walk_data_side(
     Per reference: translate (demand paging), probe the LLC, record the
     fill and dirty victims, and for a flush-tagged write (CLWB + fence)
     a persist if the LLC held the line dirty; churn pages every
-    ``churn_interval`` accesses. ``flush_tail`` appends the end-of-run
-    LLC flush after ``main_events`` (leaving ``llc`` empty).
+    ``churn_interval`` accesses.
     """
     rng = make_rng(f"{seed}/engine/{trace.name}")
     stream = BoundaryStream(trace.name)
@@ -179,11 +176,6 @@ def walk_data_side(
                 rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
             )
 
-    stream.main_events = len(stream)
-    if flush_tail:
-        for victim_block in llc.flush():
-            kind_append(EVENT_WRITEBACK)
-            addr_append(victim_block * block_bytes)
     stream.close(position, thinks, llc, mm)
     return stream
 
@@ -206,8 +198,7 @@ def compile_boundary_stream(
     and a field of the stream-cache key
     (:class:`repro.workloads.registry.BoundaryStreamSpec`);
     ``modified_os`` selects the AMNT++ allocator, which changes physical
-    placement. The flush tail is always compiled; replays apply it only
-    under ``flush_llc_at_end``.
+    placement.
     """
     from repro.sim.machine import build_data_side
 

@@ -1,7 +1,7 @@
 """Golden results: SHA-256 digests of fixed simulator runs.
 
 The digests in ``tests/data/golden_results.json`` pin the exact output
-of five sets of runs, so any change to the MEE datapath, the sweep
+of six sets of runs, so any change to the MEE datapath, the sweep
 engine, or the protocols that moves one bit of a result shows up as a
 digest mismatch (``tests/test_golden.py``):
 
@@ -24,7 +24,14 @@ digest mismatch (``tests/test_golden.py``):
   (private per-core caches in front of the shared LLC) on a two-program
   PARSEC mix and on one PARSEC trace, x the 6 figure protocols. Both
   cache levels are shrunk so each sees evictions and dirty victims,
-  and the churn interval is short so page churn runs mid-trace.
+  and the churn interval is short so page churn runs mid-trace;
+* ``wear/...`` — :func:`~repro.sim.engine.simulate` with
+  :func:`~repro.mem.wear.attach_wear_tracking`, every registered
+  protocol, on the endurance ablation's ``xz`` profile and on a
+  flush-tagged ``kvstore`` trace, with a shrunken LLC so dirty victims
+  reach memory. The digest covers the tracker's per-line write counts
+  in the order lines were first written (``report().hottest_line``
+  breaks ties by that order) and the report.
 
 Timing results hash ``SimulationResult.to_json()`` as-is (field order
 and stat-dictionary order included). The digests are a recording of
@@ -62,6 +69,8 @@ MULTICORE_ACCESSES = 4_000
 MULTICORE_CHURN_INTERVAL = 512
 MULTICORE_PRIVATE_KB = 16
 MULTICORE_LLC_KB = 64
+WEAR_ACCESSES = 2_000
+WEAR_LLC_KB = 64
 
 
 def sha256_text(text: str) -> str:
@@ -107,7 +116,7 @@ def tree_state(mee) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# the four case sets
+# the case sets
 # ----------------------------------------------------------------------
 
 
@@ -291,12 +300,55 @@ def multicore_cases() -> Iterator[Tuple[str, str]]:
             yield f"multicore/{label}/{protocol}", result_digest(result)
 
 
+def wear_cases() -> Iterator[Tuple[str, str]]:
+    from dataclasses import replace
+
+    from repro.config import DataCacheConfig, default_config
+    from repro.core.protocol import protocol_names
+    from repro.mem.wear import attach_wear_tracking
+    from repro.sim.engine import simulate
+    from repro.sim.machine import build_machine
+    from repro.util.units import KB
+    from repro.workloads.spec import spec_profile
+    from repro.workloads.storage import generate_storage_trace, storage_profile
+    from repro.workloads.synthetic import generate_trace
+
+    config = replace(
+        default_config(),
+        llc=DataCacheConfig(capacity_bytes=WEAR_LLC_KB * KB, associativity=16),
+    )
+    traces = {
+        "xz": generate_trace(
+            spec_profile("xz").scaled(accesses=WEAR_ACCESSES),
+            seed=REFERENCE_SEED,
+        ),
+        "kvstore": generate_storage_trace(
+            storage_profile("kvstore"), seed=REFERENCE_SEED,
+            accesses=WEAR_ACCESSES,
+        ),
+    }
+    for label, trace in traces.items():
+        for protocol in protocol_names():
+            machine = build_machine(config, protocol, seed=REFERENCE_SEED)
+            tracker = attach_wear_tracking(machine.mee)
+            simulate(machine, trace, seed=REFERENCE_SEED)
+            payload = {
+                "lines": [
+                    [repr(line), count]
+                    for line, count in tracker._line_writes.items()
+                ],
+                "report": repr(asdict(tracker.report())),
+            }
+            yield f"wear/{label}/{protocol}", sha256_text(_canonical(payload))
+
+
 CASE_SETS: Dict[str, Callable[[], Iterator[Tuple[str, str]]]] = {
     "grid": grid_cases,
     "storage": storage_cases,
     "functional": functional_cases,
     "crash": crash_cases,
     "multicore": multicore_cases,
+    "wear": wear_cases,
 }
 
 

@@ -59,19 +59,6 @@ class TestSimulate:
             access.think_cycles + llc_latency for access in trace
         )
 
-    def test_flush_at_end_adds_writes(self, config, trace):
-        plain = simulate(build_machine(config, "strict"), trace, seed=1)
-        flushed = simulate(
-            build_machine(config, "strict"),
-            trace,
-            seed=1,
-            flush_llc_at_end=True,
-        )
-        assert (
-            flushed.mee_stats["mee.data_writes"]
-            > plain.mee_stats["mee.data_writes"]
-        )
-
     def test_churn_exercises_reclamation(self, config, trace):
         machine = build_machine(config, "amnt++")
         simulate(machine, trace, seed=1, churn_interval=500)

@@ -5,8 +5,11 @@ entries were merged into one per-event kernel, and before
 ``simulate()``, the sweep compiler and ``simulate_multicore`` shared
 one data-side walk, so they are an oracle that shares neither: direct
 ``simulate()``, the sweep's plan replay and the multicore model must
-each reproduce the recorded results on their own (see
-``tests/golden.py`` for the cases and how to re-record them).
+each reproduce the recorded results on their own. The ``wear``
+digests were recorded while ``simulate()`` still replayed through its
+own loop and wear tracking still wrapped the engine's write methods,
+so they pin the one replay loop and the engine's own wear recording
+(see ``tests/golden.py`` for the cases and how to re-record them).
 """
 
 import pytest

@@ -53,25 +53,6 @@ class TestAccess:
 
 
 class TestFlush:
-    def test_flush_returns_only_dirty_blocks(self, llc):
-        llc.access(0, is_write=True)
-        llc.access(64, is_write=False)
-        assert llc.flush() == [0]
-        assert llc.occupancy() == 0
-
-    def test_flush_keeps_lru_to_mru_order_and_counts(self, llc):
-        sets = llc._cache.num_sets
-        for block in (3, 3 + sets, 5, 7):  # two ways of one set
-            llc.access(block * 64, is_write=block != 5)
-        llc.access(3 * 64, is_write=False)  # block 3 becomes MRU
-        expected = [line.key for line in llc._cache.lines() if line.dirty]
-        assert expected == [3 + sets, 3, 7]  # set order, LRU first
-        assert llc.flush() == expected
-        assert llc._cache.stats.get("flushes") == 1
-        assert llc.occupancy() == 0
-        assert llc.flush() == []
-        assert llc._cache.stats.get("flushes") == 2
-
     def test_flush_block_clwb_semantics(self, llc):
         llc.access(0, is_write=True)
         assert llc.flush_block(0) == 0  # dirty -> memory write

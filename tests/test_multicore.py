@@ -7,7 +7,12 @@ import pytest
 from repro.config import DataCacheConfig, default_config
 from repro.mem.address import AddressSpace
 from repro.sim.machine import build_machine
-from repro.sim.multicore import PrivateCacheLayer, simulate_multicore
+from repro.sim.multicore import (
+    PrivateCacheLayer,
+    compile_multicore_stream,
+    simulate_multicore,
+)
+from repro.sim.replay import EVENT_PERSIST
 from repro.util.units import KB, MB
 from repro.workloads.multiprogram import multiprogram_trace
 from repro.workloads.synthetic import WorkloadProfile, generate_trace
@@ -147,21 +152,28 @@ class TestMulticoreStorageTrace:
 
     def test_one_fenced_persist_per_flush_tagged_write(self, kvstore):
         """CLWB + fence reaches memory through the private cache: every
-        flush-tagged write is one fenced data write, as in simulate()."""
-        machine = build_machine(default_config(), "strict", seed=1)
-        persists = []
-        real_write_block = machine.mee.write_block
-
-        def counting_write_block(paddr, data=None, fenced=False):
-            if fenced:
-                persists.append(paddr)
-            return real_write_block(paddr, data=data, fenced=fenced)
-
-        machine.mee.write_block = counting_write_block
-        result = simulate_multicore(machine, kvstore, seed=1)
+        flush-tagged write compiles to one persist event (a fenced data
+        write on replay), as in simulate()."""
+        config = default_config()
+        machine = build_machine(config, "strict", seed=1)
+        private = PrivateCacheLayer(
+            DataCacheConfig(
+                capacity_bytes=128 * KB,
+                associativity=8,
+                access_latency_cycles=12,
+            ),
+            machine.mee.address_space,
+        )
+        stream = compile_multicore_stream(
+            kvstore, machine.llc, machine.mm, private,
+            config.security.block_bytes, seed=1,
+        )
         flush_writes = sum(
             1 for access in kvstore if access.is_write and access.flush
         )
         assert flush_writes == 5_435
-        assert len(persists) == flush_writes
+        assert list(stream.kind).count(EVENT_PERSIST) == flush_writes
+        result = simulate_multicore(
+            build_machine(config, "strict", seed=1), kvstore, seed=1
+        )
         assert result.nvm_stats["nvm.writes.data"] >= flush_writes

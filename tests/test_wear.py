@@ -111,8 +111,9 @@ class TestProtocolWearProfiles:
 
 
 class TestFencedWrites:
-    """The wrapper must forward ``fenced``: ``simulate()`` passes it on
-    every flush-tagged store."""
+    """Tracking must not change a write: a fenced write (``simulate()``
+    issues one per flush-tagged store) costs the same with a tracker
+    attached, and its data line is still counted."""
 
     def test_wrapper_forwards_fenced(self, config):
         plain = MemoryEncryptionEngine(config, make_protocol("leaf", config))
