@@ -11,13 +11,20 @@ The cache stores presence and state only, never payload bytes: content
 lives in the NVM backend or the protocol's authoritative structures.
 This mirrors how the timing simulator treats caches — as hit/miss
 filters with eviction side effects.
+
+Set format, also transcribed by ``DataCache.access`` and the MEE
+kernel's ``reference``: an ``OrderedDict`` in LRU -> MRU order mapping
+``key -> dirty bit``. A writing hit assigns ``True`` (the key keeps its
+position), a fill stores its dirty bit, the victim is
+``popitem(last=False)``. A clean line maps to ``False``: test presence
+with ``key in bucket``, never by the value's truth.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, List, Optional
+from typing import Callable, Hashable, Iterator, List, Optional, Tuple
 
 from repro.errors import CacheError
 from repro.util.bitops import is_power_of_two
@@ -98,14 +105,6 @@ def mix_of(key: Key) -> int:
     return mixed
 
 
-@dataclass(slots=True)
-class CacheLine:
-    """State of one resident line."""
-
-    key: Key
-    dirty: bool = False
-
-
 @dataclass(frozen=True, slots=True)
 class EvictedLine:
     """An eviction event handed back to the caller."""
@@ -133,8 +132,8 @@ class SetAssociativeCache:
         self.name = name
         self._set_of = set_of
         self.stats = StatRegistry(name)
-        # Each set is an OrderedDict: iteration order == LRU -> MRU.
-        self._sets: List["OrderedDict[Key, CacheLine]"] = [
+        # Each set maps key -> dirty bit; iteration order == LRU -> MRU.
+        self._sets: List["OrderedDict[Key, bool]"] = [
             OrderedDict() for _ in range(num_sets)
         ]
         # Hot-loop counters and a per-key set-index memo (the mixing
@@ -156,11 +155,7 @@ class SetAssociativeCache:
             if self._set_of is not None:
                 index = self._set_of(key) & (self.num_sets - 1)
             else:
-                mixed = _MIX_MEMO.get(key)
-                if mixed is None:
-                    mixed = _mix_key(key)
-                    _MIX_MEMO[key] = mixed
-                index = mixed & (self.num_sets - 1)
+                index = mix_of(key) & (self.num_sets - 1)
             self._index_memo[key] = index
         return index
 
@@ -173,8 +168,7 @@ class SetAssociativeCache:
     def lookup(self, key: Key) -> bool:
         """Probe for ``key``; a hit refreshes its recency."""
         bucket = self._sets[self._index(key)]
-        line = bucket.get(key)
-        if line is None:
+        if key not in bucket:
             self._misses.value += 1
             return False
         bucket.move_to_end(key)
@@ -192,65 +186,62 @@ class SetAssociativeCache:
         ORs in the dirty bit (it never cleans an already-dirty line).
         """
         bucket = self._sets[self._index(key)]
-        line = bucket.get(key)
-        if line is not None:
-            line.dirty = line.dirty or dirty
+        if key in bucket:
+            if dirty:
+                bucket[key] = True
             bucket.move_to_end(key)
             return None
         victim: Optional[EvictedLine] = None
         if len(bucket) >= self.associativity:
-            victim_key, victim_line = bucket.popitem(last=False)
-            victim = EvictedLine(victim_key, victim_line.dirty)
+            victim_key, victim_dirty = bucket.popitem(last=False)
+            victim = EvictedLine(victim_key, victim_dirty)
             self._evictions.value += 1
-            if victim_line.dirty:
+            if victim_dirty:
                 self._dirty_evictions.value += 1
-        bucket[key] = CacheLine(key, dirty)
+        bucket[key] = dirty
         self._fills.value += 1
         return victim
 
     def mark_dirty(self, key: Key) -> None:
         """Set the dirty bit on a resident line."""
-        line = self._sets[self._index(key)].get(key)
-        if line is None:
+        bucket = self._sets[self._index(key)]
+        if key not in bucket:
             raise CacheError(f"{self.name}: mark_dirty on non-resident key {key!r}")
-        line.dirty = True
+        bucket[key] = True
 
     def clean(self, key: Key) -> None:
         """Clear the dirty bit (after a writeback) if resident."""
-        line = self._sets[self._index(key)].get(key)
-        if line is not None:
-            line.dirty = False
+        bucket = self._sets[self._index(key)]
+        if key in bucket:
+            bucket[key] = False
 
     def is_dirty(self, key: Key) -> bool:
-        line = self._sets[self._index(key)].get(key)
-        return bool(line and line.dirty)
+        return bool(self._sets[self._index(key)].get(key))
 
     def invalidate(self, key: Key) -> Optional[EvictedLine]:
         """Remove ``key`` if present; returns its final state."""
-        bucket = self._sets[self._index(key)]
-        line = bucket.pop(key, None)
-        if line is None:
+        dirty = self._sets[self._index(key)].pop(key, None)
+        if dirty is None:
             return None
-        return EvictedLine(line.key, line.dirty)
+        return EvictedLine(key, dirty)
 
     # -- bulk operations ---------------------------------------------------
 
-    def lines(self) -> Iterator[CacheLine]:
-        """All resident lines (LRU to MRU within each set)."""
+    def lines(self) -> Iterator[Tuple[Key, bool]]:
+        """``(key, dirty)`` of every resident line (LRU to MRU within
+        each set)."""
         for bucket in self._sets:
-            yield from bucket.values()
+            yield from bucket.items()
 
-    def dirty_lines(self) -> Iterator[CacheLine]:
-        for line in self.lines():
-            if line.dirty:
-                yield line
+    def dirty_keys(self) -> Iterator[Key]:
+        return (key for key, dirty in self.lines() if dirty)
 
     def drop_all(self) -> List[EvictedLine]:
         """Volatile loss: discard every line (crash modeling).
 
         Dirty contents are *not* written back — that is the point.
         """
-        dropped = [EvictedLine(line.key, line.dirty) for line in self.lines()]
+        dropped = [EvictedLine(key, dirty) for key, dirty in self.lines()]
         for bucket in self._sets:
             bucket.clear()
         return dropped

@@ -89,8 +89,7 @@ class MetadataCache:
 
     def dirty_tree_nodes(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(level, index)`` of every dirty BMT node line."""
-        for line in self._cache.dirty_lines():
-            key = line.key
+        for key in self._cache.dirty_keys():
             if isinstance(key, tuple) and key[0] == "node":
                 yield (key[1], key[2])
 

@@ -43,9 +43,9 @@ address and run one event. Every simulated run replays a boundary
 stream through :meth:`~MemoryEncryptionEngine.replay_plan_events`, the
 one event loop: sweep cells with a compiled plan's records
 (:mod:`repro.sim.plan`), ``simulate()`` and the multicore model with
-records the engine resolves as the loop reaches each event. So single
-runs, the crash and tamper campaigns, and every figure exercise the
-same code.
+records a resolver of the run's own resolves as the loop reaches each
+event. So single runs, the crash and tamper campaigns, and every
+figure exercise the same code.
 
 Wear accounting (:mod:`repro.mem.wear`) is an optional tracker on the
 engine: when ``wear_tracker`` is set, the write event and every NVM
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.cache import CacheLine, mix_of
+from repro.cache.cache import mix_of
 from repro.cache.metadata_cache import (
     MetadataCache,
     counter_key,
@@ -122,8 +122,9 @@ class RecordResolver:
 
     One record serves every block sharing a (counter line, HMAC line)
     pair, and the memo is owned by whoever owns the resolver: each
-    engine keeps one for its direct entries, and
-    :func:`~repro.sim.plan.compile_metadata_plan` builds one per plan.
+    engine keeps one for its direct entries,
+    :func:`~repro.sim.plan.compile_metadata_plan` one per plan, and
+    ``simulate()`` and ``simulate_multicore()`` one per run.
     """
 
     __slots__ = ("_address_space", "_geometry", "_shift", "_groups", "_records")
@@ -232,9 +233,9 @@ class MemoryEncryptionEngine:
         self._ctr_walk_cache = self.stats.counter("walk_stopped_at_cache")
         self._ctr_md_writebacks = self.stats.counter("metadata_writebacks")
         self._md_clean = self.mdcache.clean
-        #: The engine's own address -> datapath record resolver, used by
-        #: the direct entries and by uncompiled replays (memo freed with
-        #: the engine; plans own theirs).
+        #: The direct entries' address -> datapath record resolver. The
+        #: engine is cyclic garbage (engine <-> protocol) that only a full
+        #: collection frees, so runs and plans bring resolvers of their own.
         self.record_of = RecordResolver(self.geometry, self.address_space).record
         self._persist_ctr_write = self.nvm.writer(_COUNTERS, persist=True)
         self._persist_tree_write = self.nvm.writer(_TREE, persist=True)
@@ -303,7 +304,7 @@ class MemoryEncryptionEngine:
         the steps). ``record`` comes from a :class:`RecordResolver`:
         :meth:`read_block`/:meth:`write_block` resolve it per call, and
         :meth:`replay_plan_events` takes it from its caller (a compiled
-        plan, or :attr:`record_of` applied to each event's address).
+        plan, or a run-local resolver applied to each event's address).
 
         Everything the events touch is resolved once here, except the
         instruments a run attaches after construction: the write event
@@ -367,35 +368,36 @@ class MemoryEncryptionEngine:
         verify_and_decrypt = self._verify_and_decrypt
         bump_and_store = self._functional_counter_bump_and_store
         writeback = self._writeback_metadata
-        line_cls = CacheLine
         mee = self
 
         def reference(key, mix, dirty, nvm_read):
             """One metadata-cache reference, LRU with write-allocate;
             returns None on a hit, else the miss's extra cycles (NVM
-            fill, fill hook, lazy writeback of a dirty victim)."""
+            fill, fill hook, lazy writeback of a dirty victim). Sets use
+            the ``key -> dirty bit`` format of :mod:`repro.cache.cache`."""
             bucket = sets[mix & set_mask]
-            line = bucket.get(key)
-            if line is not None:
+            if key in bucket:
                 if dirty:
-                    line.dirty = True
+                    bucket[key] = True
                 bucket.move_to_end(key)
                 md_hits.value += 1
                 return None
             md_misses.value += 1
             victim = None
             if len(bucket) >= assoc:
-                victim = bucket.popitem(last=False)[1]
+                victim, victim_dirty = bucket.popitem(last=False)
                 md_evictions.value += 1
-                if victim.dirty:
+                if victim_dirty:
                     md_dirty_evictions.value += 1
-            bucket[key] = line_cls(key, dirty)
+                else:
+                    victim = None
+            bucket[key] = dirty
             md_fills.value += 1
             cycles = nvm_read()
             if fill_hook is not None:
                 cycles += fill_hook(key)
-            if victim is not None and victim.dirty:
-                cycles += writeback(victim.key)
+            if victim is not None:
+                cycles += writeback(victim)
             return cycles
 
         def read_event(paddr, record):
@@ -523,8 +525,8 @@ class MemoryEncryptionEngine:
         ``kinds``/``addrs`` are a :class:`~repro.sim.replay.BoundaryStream`'s
         columns (0 = fill, 1 = posted writeback, 2 = fenced persist) and
         ``event_records`` yields each event's datapath record: a
-        :class:`~repro.sim.plan.MetadataPlan`'s records, or
-        ``map(mee.record_of, addrs)`` to resolve them as the loop goes.
+        :class:`~repro.sim.plan.MetadataPlan`'s records, or a resolver's
+        ``record`` mapped over ``addrs`` to resolve them as the loop goes.
         """
         read_event = self._read_event
         write_event = self._write_event

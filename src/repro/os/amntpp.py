@@ -19,9 +19,10 @@ Faithful to the paper's design decisions:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from itertools import chain
+from typing import Callable, Deque, Optional
 
 from repro.os.buddy import (
     INSTRUCTIONS_PER_LIST_OP,
@@ -73,13 +74,12 @@ class AMNTPlusPlusRestructurer:
         """
         if self.phase_hook is not None:
             self.phase_hook()  # reclamation pass begins
-        region_chunks: Dict[int, int] = {}
-        scan_steps = 0
-        for order, pfns in enumerate(allocator.free_area):
-            for pfn in pfns:
-                region = self.region_of_pfn(pfn)
-                region_chunks[region] = region_chunks.get(region, 0) + 1
-                scan_steps += 1
+        # One region lookup per free-list entry, kept for the rebuild.
+        regions = [
+            list(map(self.region_of_pfn, pfns)) for pfns in allocator.free_area
+        ]
+        region_chunks = Counter(chain.from_iterable(regions))
+        scan_steps = sum(region_chunks.values())
         self._charge(allocator, scan_steps * INSTRUCTIONS_PER_SCAN_STEP)
         if not region_chunks:
             return -1
@@ -91,15 +91,15 @@ class AMNTPlusPlusRestructurer:
         if self.phase_hook is not None:
             self.phase_hook()  # mid-pass: target chosen, lists not yet rebuilt
         moves = 0
-        for order, pfns in enumerate(allocator.free_area):
+        for order, order_regions in enumerate(regions):
             biased: Deque[int] = deque()
             rest: Deque[int] = deque()
-            for pfn in pfns:
-                if self.region_of_pfn(pfn) == best_region:
+            for pfn, region in zip(allocator.free_area[order], order_regions):
+                if region == best_region:
                     biased.append(pfn)
-                    moves += 1
                 else:
                     rest.append(pfn)
+            moves += len(biased)
             biased.extend(rest)
             allocator.free_area[order] = biased
         self._charge(allocator, moves * INSTRUCTIONS_PER_LIST_OP)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from itertools import repeat
+from typing import Deque, Dict, List
 
 from repro.errors import AllocationError
-from repro.util.bitops import ilog2, is_power_of_two
+from repro.util.bitops import is_power_of_two
 from repro.util.stats import StatRegistry
 
 #: Modeled instruction costs of allocator primitives. Absolute values
@@ -78,11 +79,8 @@ class BuddyAllocator:
     def _charge(self, instructions: int) -> None:
         self._instr.value += instructions
 
-    def _push(self, pfn: int, order: int, to_head: bool = True) -> None:
-        if to_head:
-            self.free_area[order].appendleft(pfn)
-        else:
-            self.free_area[order].append(pfn)
+    def _push(self, pfn: int, order: int) -> None:
+        self.free_area[order].appendleft(pfn)
         self._free_set[order][pfn] = None
         self._charge(INSTRUCTIONS_PER_LIST_OP)
 
@@ -186,10 +184,17 @@ class BuddyAllocator:
             frames.extend(range(base, base + (1 << self.max_order)))
         even_frames = [pfn for pfn in frames if pfn % 2 == 0]
         rng.shuffle(even_frames)
-        for pfn in even_frames:
-            self.free_pages(pfn, 0)
-        self.stats.add("scatter_pages", len(even_frames))
-        return len(even_frames)
+        # No free coalesces (each frame's buddy, pfn + 1, stays held), so
+        # the frees are one bulk head push, charged as ``free_pages``
+        # would be: a failed buddy check (if max_order > 0) and a push.
+        count = len(even_frames)
+        self.free_area[0].extendleft(even_frames)
+        self._free_set[0].update(zip(even_frames, repeat(None)))
+        check = INSTRUCTIONS_PER_COALESCE_CHECK if self.max_order else 0
+        self._charge(count * (check + INSTRUCTIONS_PER_LIST_OP))
+        self._ctr_frees.value += count
+        self.stats.add("scatter_pages", count)
+        return count
 
     def fragment(self, rng, churn_allocations: int = 256) -> None:
         """Age the allocator: random alloc/free churn so free lists no

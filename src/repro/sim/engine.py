@@ -21,9 +21,9 @@ event loop (:meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`)
 and assembles the result. :func:`simulate_from_plan` (every sweep cell)
 hands it a compiled plan's records; :func:`simulate` (the single-run
 API) and :func:`repro.sim.multicore.simulate_multicore` walk their own
-machine's data side and let the engine resolve each record as the loop
-reaches it. ``tests/test_golden.py`` pins all three against recorded
-digests.
+machine's data side and resolve each record as the loop reaches it,
+through a :class:`~repro.core.mee.RecordResolver` of the run's own.
+``tests/test_golden.py`` pins all three against recorded digests.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.core.mee import RecordResolver
 from repro.errors import PowerFailure, SimulationError
 from repro.sim.machine import Machine
 from repro.sim.replay import BoundaryStream, trace_columns, walk_data_side
@@ -46,7 +47,7 @@ def replay_stream(
     """Replay ``stream`` into ``mee``; returns the run's result.
 
     ``records`` yields each event's datapath record (a compiled plan's
-    ``records``, or ``map(mee.record_of, stream.addr)``); ``cycles`` is
+    ``records``, or a run-local resolver's); ``cycles`` is
     the data side's share of the run, to which the replay adds the
     engine's. Data-side figures come from the stream, the rest from the
     engine's statistics. Also folds the run into telemetry.
@@ -92,7 +93,8 @@ def simulate(
     mee = machine.mee
     llc_latency = machine.config.llc.access_latency_cycles
     cycles = stream.think_total + stream.accesses * llc_latency
-    return replay_stream(stream, mee, map(mee.record_of, stream.addr), cycles)
+    resolver = RecordResolver(mee.geometry, mee.address_space)
+    return replay_stream(stream, mee, map(resolver.record, stream.addr), cycles)
 
 
 def simulate_from_plan(stream, plan, machine: Machine) -> SimulationResult:

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.cache.cache import build_cache
 from repro.config import DataCacheConfig
+from repro.core.mee import RecordResolver
 from repro.mem.address import AddressSpace
 from repro.sim.engine import replay_stream
 from repro.sim.machine import Machine
@@ -202,4 +203,5 @@ def simulate_multicore(
         + stream.accesses * private_config.access_latency_cycles
         + private.misses() * machine.config.llc.access_latency_cycles
     )
-    return replay_stream(stream, mee, map(mee.record_of, stream.addr), cycles)
+    resolver = RecordResolver(mee.geometry, mee.address_space)
+    return replay_stream(stream, mee, map(resolver.record, stream.addr), cycles)

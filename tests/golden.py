@@ -1,7 +1,7 @@
 """Golden results: SHA-256 digests of fixed simulator runs.
 
 The digests in ``tests/data/golden_results.json`` pin the exact output
-of six sets of runs, so any change to the MEE datapath, the sweep
+of seven sets of runs, so any change to the MEE datapath, the sweep
 engine, or the protocols that moves one bit of a result shows up as a
 digest mismatch (``tests/test_golden.py``):
 
@@ -31,7 +31,18 @@ digest mismatch (``tests/test_golden.py``):
   flush-tagged ``kvstore`` trace, with a shrunken LLC so dirty victims
   reach memory. The digest covers the tracker's per-line write counts
   in the order lines were first written (``report().hottest_line``
-  breaks ties by that order) and the report.
+  breaks ties by that order) and the report;
+* ``scatter/...`` — the multiprogram boot aging of Figs. 5-7
+  (:meth:`~repro.os.buddy.BuddyAllocator.scatter`, then the AMNT++ boot
+  :meth:`~repro.os.amntpp.AMNTPlusPlusRestructurer.restructure`):
+  level-sweep cells (volatile, amnt, amnt++ at subtree levels 3 and 5
+  on one scatter-aged multiprogram pair), ``simulate()`` on scatter-aged
+  amnt and amnt++ machines with a churn interval short enough that
+  reclamation restructures run mid-trace, and allocator images (each
+  order's free list in list order, the free-set membership in insertion
+  order, the statistics and the return value) after ``scatter`` and
+  after ``restructure``, including ``max_order=0`` and a span larger
+  than the allocator.
 
 Timing results hash ``SimulationResult.to_json()`` as-is (field order
 and stat-dictionary order included). The digests are a recording of
@@ -71,6 +82,18 @@ MULTICORE_PRIVATE_KB = 16
 MULTICORE_LLC_KB = 64
 WEAR_ACCESSES = 2_000
 WEAR_LLC_KB = 64
+SCATTER_ACCESSES_EACH = 1_500
+SCATTER_LEVELS = (3, 5)
+SCATTER_CHURN_INTERVAL = 256
+#: ``(total_pages, max_order, span_chunks, pages_per_region)``: the
+#: default machine's allocator, small geometries, ``max_order=0`` and a
+#: span of more chunks than the allocator holds.
+SCATTER_ALLOCATORS = (
+    (1 << 18, 10, 40, 1 << 12),
+    (1 << 12, 4, 64, 1 << 7),
+    (1 << 10, 0, 300, 1 << 6),
+    (1 << 12, 6, 1_000, 1 << 8),
+)
 
 
 def sha256_text(text: str) -> str:
@@ -342,6 +365,96 @@ def wear_cases() -> Iterator[Tuple[str, str]]:
             yield f"wear/{label}/{protocol}", sha256_text(_canonical(payload))
 
 
+def allocator_image(allocator) -> Dict[str, object]:
+    """A buddy allocator's free lists (list order), free-set membership
+    (insertion order) and statistics."""
+    return {
+        "free_area": [list(pfns) for pfns in allocator.free_area],
+        "free_set": [list(members) for members in allocator._free_set],
+        "stats": allocator.stats.snapshot(),
+    }
+
+
+def scatter_cases() -> Iterator[Tuple[str, str]]:
+    from repro.bench.experiments import MULTIPROGRAM_SCATTER_CHUNKS
+    from repro.config import default_config
+    from repro.os.amntpp import AMNTPlusPlusRestructurer
+    from repro.os.buddy import BuddyAllocator
+    from repro.sim.engine import simulate
+    from repro.sim.machine import build_machine
+    from repro.sim.parallel import ParallelSweepRunner, SweepCell
+    from repro.util.rng import make_rng
+    from repro.workloads.parsec import MULTIPROGRAM_PAIRS
+    from repro.workloads.registry import materialize_trace, multiprogram_spec
+
+    config = default_config()
+    pair = MULTIPROGRAM_PAIRS[0]
+    spec = multiprogram_spec(
+        "parsec", pair, SCATTER_ACCESSES_EACH, REFERENCE_SEED
+    )
+    label = "+".join(pair)
+    cells = [
+        SweepCell(
+            protocol=protocol,
+            trace=spec,
+            seed=REFERENCE_SEED,
+            scatter_span_chunks=MULTIPROGRAM_SCATTER_CHUNKS,
+            config=config.with_amnt(subtree_level=level),
+        )
+        for level in SCATTER_LEVELS
+        for protocol in ("volatile", "amnt", "amnt++")
+    ]
+    swept = ParallelSweepRunner(workers=1).run(cells, config)
+    for cell, result in zip(cells, swept):
+        level = cell.config.amnt.subtree_level
+        yield (
+            f"scatter/sweep/{label}/L{level}/{cell.protocol}",
+            result_digest(result),
+        )
+
+    trace = materialize_trace(spec)
+    for protocol in ("amnt", "amnt++"):
+        machine = build_machine(
+            config, protocol, seed=REFERENCE_SEED,
+            scatter_span_chunks=MULTIPROGRAM_SCATTER_CHUNKS,
+        )
+        result = simulate(
+            machine, trace, seed=REFERENCE_SEED,
+            churn_interval=SCATTER_CHURN_INTERVAL,
+        )
+        allocator = machine.mm.allocator
+        if protocol == "amnt++" and not allocator.stats.get("restructures"):
+            raise AssertionError("no reclamation restructure ran mid-trace")
+        payload = {
+            "result": result.to_json(),
+            "allocator": allocator_image(allocator),
+        }
+        yield f"scatter/direct/{label}/{protocol}", sha256_text(
+            _canonical(payload)
+        )
+
+    for total, max_order, span, region_pages in SCATTER_ALLOCATORS:
+        name = f"scatter/allocator/{total}p-o{max_order}-s{span}"
+        allocator = BuddyAllocator(total, max_order=max_order)
+        produced = allocator.scatter(
+            make_rng(f"{REFERENCE_SEED}/scatter"), span_chunks=span
+        )
+        payload = {"produced": produced, **allocator_image(allocator)}
+        yield f"{name}/scatter", sha256_text(_canonical(payload))
+        hooks = []
+        restructurer = AMNTPlusPlusRestructurer(
+            region_of_pfn=lambda pfn, size=region_pages: pfn // size,
+            phase_hook=lambda: hooks.append(len(hooks)),
+        )
+        region = restructurer.restructure(allocator)
+        payload = {
+            "region": region,
+            "hooks": len(hooks),
+            **allocator_image(allocator),
+        }
+        yield f"{name}/restructure", sha256_text(_canonical(payload))
+
+
 CASE_SETS: Dict[str, Callable[[], Iterator[Tuple[str, str]]]] = {
     "grid": grid_cases,
     "storage": storage_cases,
@@ -349,6 +462,7 @@ CASE_SETS: Dict[str, Callable[[], Iterator[Tuple[str, str]]]] = {
     "crash": crash_cases,
     "multicore": multicore_cases,
     "wear": wear_cases,
+    "scatter": scatter_cases,
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import SetAssociativeCache, build_cache
+from repro.cache.cache import EvictedLine, SetAssociativeCache, build_cache
 from repro.errors import CacheError
 
 
@@ -83,7 +83,19 @@ class TestDirtyBits:
     def test_dirty_lines_iterator(self, tiny):
         tiny.insert(0, dirty=True)
         tiny.insert(1)
-        assert [line.key for line in tiny.dirty_lines()] == [0]
+        assert list(tiny.dirty_keys()) == [0]
+        assert list(tiny.lines()) == [(0, True), (1, False)]
+
+    def test_clean_line_is_resident(self, tiny):
+        # A clean line's dirty bit is False: presence must not be read
+        # from the truth of the stored value.
+        tiny.insert(0)
+        assert tiny.insert(0) is None
+        assert tiny.lookup(0)
+        assert tiny.insert(2) is None
+        assert tiny.stats.get("hits") == 1
+        assert tiny.stats.get("evictions") == 0
+        assert tiny.invalidate(0) == EvictedLine(0, False)
 
 
 class TestInvalidateAndDrop:
@@ -162,7 +174,7 @@ def test_cache_invariants_under_random_ops(operations):
         else:
             cache.invalidate(key)
         assert cache.occupancy() <= cache.capacity_lines
-        keys = [line.key for line in cache.lines()]
+        keys = [key for key, _ in cache.lines()]
         assert len(keys) == len(set(keys))
         for bucket in cache._sets:
             assert len(bucket) <= cache.associativity

@@ -114,3 +114,33 @@ class TestNormalization:
         results = {"leaf": simulate(build_machine(config, "leaf"), trace, seed=1)}
         with pytest.raises(KeyError):
             normalized_cycles(results)
+
+
+class TestRecordMemo:
+    """Direct runs resolve records through a resolver of their own, so
+    the memo dies with the run. An engine is cyclic garbage (engine <->
+    protocol), freed only by a full collection; a memo held by the
+    engine would outlive every run until then."""
+
+    @staticmethod
+    def engine_memo(mee):
+        return mee.record_of.__self__._records
+
+    def test_simulate_leaves_engine_memo_empty(self, config, trace):
+        machine = build_machine(config, "amnt")
+        result = simulate(machine, trace, seed=1)
+        assert result.mee_stats["mee.data_reads"] > 0
+        assert self.engine_memo(machine.mee) == {}
+
+    def test_simulate_multicore_leaves_engine_memo_empty(self, config, trace):
+        from repro.sim.multicore import simulate_multicore
+
+        machine = build_machine(config, "amnt")
+        result = simulate_multicore(machine, trace, seed=1)
+        assert result.mee_stats["mee.data_reads"] > 0
+        assert self.engine_memo(machine.mee) == {}
+
+    def test_direct_entries_still_use_engine_memo(self, config):
+        machine = build_machine(config, "strict")
+        machine.mee.write_block(0)
+        assert len(self.engine_memo(machine.mee)) == 1

@@ -8,8 +8,11 @@ one data-side walk, so they are an oracle that shares neither: direct
 each reproduce the recorded results on their own. The ``wear``
 digests were recorded while ``simulate()`` still replayed through its
 own loop and wear tracking still wrapped the engine's write methods,
-so they pin the one replay loop and the engine's own wear recording
-(see ``tests/golden.py`` for the cases and how to re-record them).
+so they pin the one replay loop and the engine's own wear recording.
+The ``scatter`` digests were recorded while boot aging still freed
+frame by frame, the AMNT++ restructure still looked regions up twice
+and cache sets still held line objects (see ``tests/golden.py`` for the
+cases and how to re-record them).
 """
 
 import pytest

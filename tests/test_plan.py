@@ -288,10 +288,7 @@ class TestKernelProbe:
                 reference(hmac_key(hline), False)
 
         def contents(cache):
-            return [
-                [(line.key, line.dirty) for line in bucket.values()]
-                for bucket in cache._sets
-            ]
+            return [list(bucket.items()) for bucket in cache._sets]
 
         assert contents(mee.mdcache._cache) == contents(model)
         assert mee.mdcache.stats.snapshot() == model.stats.snapshot()

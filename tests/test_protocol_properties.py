@@ -107,5 +107,5 @@ def test_strict_leaves_nothing_dirty(writes):
     for page in writes:
         mee.write_block(page * 4096)
     assert list(mee.mdcache.dirty_tree_nodes()) == []
-    for line in mee.mdcache._cache.dirty_lines():
-        raise AssertionError(f"strict left {line.key!r} dirty")
+    for key in mee.mdcache._cache.dirty_keys():
+        raise AssertionError(f"strict left {key!r} dirty")

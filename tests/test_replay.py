@@ -30,7 +30,6 @@ from repro.sim.replay import (
     compile_boundary_stream,
 )
 from repro.sim.runner import run_protocol_sweep
-from repro.util.units import MB
 from repro.workloads.registry import (
     boundary_stream_spec,
     compiled_cache_clear,
